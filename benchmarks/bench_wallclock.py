@@ -4,7 +4,7 @@
 Unlike the rest of ``benchmarks/`` -- which reproduces the *paper's*
 virtual-time figures -- this script times how fast the simulator itself
 runs, so the perf trajectory of the engine is tracked alongside the
-model's accuracy.  Three scenarios:
+model's accuracy.  Scenarios:
 
 * ``canonical_2node`` -- the golden-trace workload (fixed bidirectional
   message mix); also reports heap pushes per delivered TCC packet.
@@ -13,6 +13,12 @@ model's accuracy.  Three scenarios:
   park/doorbell path should make this near-free).
 * ``fig6_4mib_weak`` -- the heaviest single figure point: one 4 MiB
   weakly-ordered bandwidth sweep.
+* ``fig6_stream``    -- weak + strict 1 MiB Figure 6 streams (one 64 B
+  store per line, exactly as the figure issues them) with the WC stream
+  windows off (per-packet) and on, best of
+  ``FIG6_STREAM_REPEATS`` each; gated on the windowed run's event count
+  (``fig6_stream_events_max``) *and* on its wall-clock payoff over the
+  per-packet run (``fig6_stream_payoff_min_x``).
 * ``fig6_full_sweep`` -- the whole Figure 6 grid (17 sizes x 2 modes),
   run serially and through the ``repro.sim.parallel`` process-pool
   runner (``--jobs``); the ratio is the sweep-level scale-out win.
@@ -94,6 +100,12 @@ SEED_BASELINE = {
 #: Repeats for the fig6 wall-clock measurement (best-of-N); the other
 #: two scenarios are gated on deterministic event counts, not time.
 FIG6_REPEATS = 3
+
+#: Bytes the fig6_stream scenario stores per mode (16384 line stores).
+FIG6_STREAM_BYTES = 1 * MiB
+
+#: Best-of-N repeats per fidelity setting for the fig6_stream payoff.
+FIG6_STREAM_REPEATS = 3
 
 #: Bytes each of the eight link-disjoint mesh pairs bulk-stores.
 MESH_TRANSFER = 512 * KiB
@@ -199,6 +211,66 @@ def bench_fig6_4mib():
         "heap_pushes": sim.heap_pushes,
         "events_per_sec": round(sim.event_count / wall),
         "mbps": round(res[0].mbps, 1),
+    }
+
+
+def _run_fig6_stream(adaptive: bool):
+    """One weak + strict ``FIG6_STREAM_BYTES`` Figure 6 stream pair on a
+    fresh two-board prototype; ``adaptive`` toggles the WC stream
+    windows (``adaptive_fidelity``)."""
+    from repro.bench.microbench import run_bandwidth_sweep
+    from repro.obs.metrics import flow_counters
+
+    sys_ = TCClusterSystem.two_board_prototype()
+    sys_.sim.features.adaptive_fidelity = adaptive
+    sys_.boot()
+    sim = sys_.sim
+    e0, p0 = sim.event_count, sim.heap_pushes
+    t0 = time.perf_counter()
+    points = run_bandwidth_sweep(sizes=(FIG6_STREAM_BYTES,),
+                                 modes=("weak", "strict"), system=sys_)
+    wall = time.perf_counter() - t0
+    cl = sys_.cluster
+    return {
+        "runtime_s": round(wall, 4),
+        "events": sim.event_count - e0,
+        "heap_pushes": sim.heap_pushes - p0,
+        "elapsed_ns": {p.mode: p.elapsed_ns for p in points},
+        "mbps": {p.mode: round(p.mbps, 1) for p in points},
+        "train": _train_counters(cl, [cl.rank_of(0, 1)]),
+        "flow": flow_counters(sim).as_dict(),
+    }
+
+
+def bench_fig6_stream():
+    """The WC stream-window plane on the paper's own figure workload.
+
+    Per-packet and windowed runs alternate so both see the same machine
+    load; each keeps its best wall clock.  Virtual time must match
+    exactly, every line must ride a window and none may demote."""
+    best = {}
+    for _ in range(FIG6_STREAM_REPEATS):
+        for adaptive in (False, True):
+            r = _run_fig6_stream(adaptive)
+            if (adaptive not in best
+                    or r["runtime_s"] < best[adaptive]["runtime_s"]):
+                best[adaptive] = r
+    per_packet, stream = best[False], best[True]
+    assert per_packet["elapsed_ns"] == stream["elapsed_ns"], (
+        "stream windows changed Figure 6 virtual time: "
+        f"{per_packet['elapsed_ns']} vs {stream['elapsed_ns']}")
+    assert not per_packet["train"]["windows"]
+    lines = 2 * FIG6_STREAM_BYTES // 64
+    assert stream["train"]["lines"] == lines, stream["train"]
+    assert stream["train"]["demotions"] == 0, stream["train"]
+    return {
+        "transfer_bytes": FIG6_STREAM_BYTES,
+        "modes": ["weak", "strict"],
+        "repeats": FIG6_STREAM_REPEATS,
+        "per_packet": per_packet,
+        "stream": stream,
+        "speedup_x": round(per_packet["runtime_s"] / stream["runtime_s"], 2),
+        "events_x": round(per_packet["events"] / stream["events"], 2),
     }
 
 
@@ -792,6 +864,7 @@ def main(argv=None) -> int:
         "canonical_2node": bench_canonical(),
         "idle_poll": bench_idle_poll(),
         "fig6_4mib_weak": bench_fig6_4mib(),
+        "fig6_stream": bench_fig6_stream(),
         "fig6_full_sweep": bench_fig6_full_sweep(jobs),
         "mesh_4x4": bench_mesh_4x4(),
         "datapath_churn": bench_datapath_churn(),
@@ -816,6 +889,7 @@ def main(argv=None) -> int:
             / canon["pushes_per_packet"],
             2,
         ),
+        "fig6_stream_x": scenarios["fig6_stream"]["speedup_x"],
         "fig6_sweep_parallel_x": scenarios["fig6_full_sweep"].get(
             "speedup_x", "skipped"),
         "mesh_adaptive_fidelity_x": scenarios["mesh_4x4"]["speedup_x"],
@@ -870,6 +944,9 @@ def main(argv=None) -> int:
             ("boot_restore_events_max",
              scenarios["boot_amortization"]["restore_events_total"],
              "boot-image restore drains"),
+            ("fig6_stream_events_max",
+             scenarios["fig6_stream"]["stream"]["events"],
+             "fig6 stream-window scenario"),
         ]
         failed = False
         for key, got, label in gates:
@@ -886,6 +963,26 @@ def main(argv=None) -> int:
                 failed = True
             else:
                 print(f"baseline gate OK: {label} events {got} <= {limit}")
+        # Wall-clock payoff floors: a macro plane that cuts events but
+        # not best-of-N host time is a deletion candidate, not a win.
+        payoffs = [
+            ("fig6_stream_payoff_min_x", scenarios["fig6_stream"]["speedup_x"],
+             "fig6 stream windows vs per-packet"),
+        ]
+        for key, got, label in payoffs:
+            floor = baseline.get(key)
+            if floor is None:
+                continue
+            if got < floor:
+                print(
+                    f"FAIL: {label} best-of-N speedup {got}x is below the "
+                    f"payoff floor {floor}x (recorded in "
+                    f"{args.check_baseline})",
+                    file=sys.stderr,
+                )
+                failed = True
+            else:
+                print(f"payoff floor OK: {label} {got}x >= {floor}x")
         if failed:
             return 1
     return 0

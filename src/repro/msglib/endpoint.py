@@ -267,10 +267,10 @@ class Endpoint:
         remaining = len(data)
         pos = 0
         # Flow-level fidelity (DESIGN.md section 12): coalesce a run of
-        # ring slots into one contiguous multi-line store so it can ride
-        # the bulk-train fast path.  Virtual-time neutral: the per-slot
-        # path below issues the same back-to-back line stores with zero
-        # virtual time between the calls.  Gated off under metrics --
+        # ring slots into one contiguous multi-line store so it feeds
+        # the WC stream window in one append.  Virtual-time neutral: the
+        # per-slot path below issues the same back-to-back line stores
+        # with zero virtual time between the calls.  Gated off under metrics --
         # the per-slot ring-occupancy samples carry per-slot timestamps
         # that coalescing would collapse onto one instant.
         spans = (mode == "weak" and not self._m.enabled

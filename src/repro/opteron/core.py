@@ -29,10 +29,8 @@ from ..sim import Event
 from ..util.units import CACHELINE
 from .mtrr import MemoryType
 from .northbridge import RouteKind
-from .train import MIN_TRAIN_LINES, plan_train
+from .train import plan_train
 from .wc import WriteCombiner
-
-_MIN_TRAIN_BYTES = MIN_TRAIN_LINES * CACHELINE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chip import OpteronChip
@@ -83,14 +81,18 @@ class CpuCore:
         wc = self.wc
         pos = 0
         size = len(data)
-        if (size >= _MIN_TRAIN_BYTES and addr % CACHELINE == 0
-                and self.sim.features.adaptive_fidelity):
-            # Bulk aligned WC store over a quiescent TCCluster window:
-            # collapse the packet train to closed-form arithmetic
+        nlines = size // CACHELINE
+        if nlines and not addr % CACHELINE:
+            # Full lines into a TCCluster window: open or extend the WC
+            # stream window, whose packet train is closed-form arithmetic
             # (repro.opteron.train); falls back per-packet on demotion.
-            train = plan_train(self, addr, data)
+            train = nb._train
+            if train is None:
+                train = plan_train(self, addr, nlines)
+            elif not train.admits(self, addr, nlines):
+                train = None
             if train is not None:
-                pos = yield from train.run()
+                pos = yield from train.feed(addr, data, nlines)
         # Zero-copy: per-line chunks are memoryview spans into the caller's
         # (immutable) source buffer; full-line spans ride each packet all
         # the way to the destination page commit without being copied.

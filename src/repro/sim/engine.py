@@ -65,10 +65,11 @@ class SimFeatures:
     #: Serialize back-to-back same-VC link packets as one bulk occupancy
     #: event with arithmetically computed delivery times.
     burst_serialization: bool = True
-    #: Collapse an uncontended bulk WC store's whole packet train
-    #: (fill/dispatch/serialize pipeline) into closed-form arithmetic,
-    #: demoting back to per-packet mode the instant anything else touches
-    #: the involved queues (see repro.opteron.train).
+    #: Run a core's full-line WC stores into a quiescent link as one
+    #: growing stream window whose packet train (fill/dispatch/serialize
+    #: pipeline) is closed-form arithmetic, demoting back to per-packet
+    #: mode the instant anything else touches the involved queues (see
+    #: repro.opteron.train).
     adaptive_fidelity: bool = True
     #: Flow-level macro events for the remaining traffic classes: msglib
     #: ring slot writes, same-route remote read/response chains and

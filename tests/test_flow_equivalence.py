@@ -117,7 +117,8 @@ def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
         payload_ok=got == payloads,
         stats=stats,
         counters=counters,
-        dest_counters=dest_chip.nb.counters.as_dict(),
+        dest_counters={k: v for k, v in dest_chip.nb.counters.as_dict().items()
+                       if not k.startswith("train_")},
         dest_mc=(dmc.reads, dmc.writes, dmc.bytes_read, dmc.bytes_written),
         dest_mem=dmc.memory.read(0, 1 << 20),
         events=sim.event_count - e0,
@@ -525,3 +526,36 @@ def test_forward_demotion_fuzz_oracle_deep(seed):
             assert_forward_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
             raise AssertionError(f"kind={kind} t_off={t_off}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Many concurrent stream windows feeding commit spans: pairwise alltoall
+# ---------------------------------------------------------------------------
+
+def _pairwise_alltoall(adaptive):
+    """A 16-rank pairwise alltoall on torus2d(4,4) with flow fidelity on:
+    every rank sends from a second (isend) process on its core while its
+    driver receives, so windows open and demote all over the fabric and
+    the destination commit spans grow store by store."""
+    from repro.bench.sweep_points import _collective_cfg, _drive_collective
+    from repro.middleware import Communicator
+    from repro.topology import torus2d
+
+    system = TCClusterSystem(torus2d(4, 4), msg_cfg=_collective_cfg(4096))
+    system.sim.features.flow_fidelity = True
+    system.sim.features.adaptive_fidelity = adaptive
+    system.boot()
+    cl = system.cluster
+    comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
+    elapsed, _events = _drive_collective(system.sim, comms, "alltoall",
+                                         "pairwise", 4096)
+    windows = sum(info.chip.nb.counters.get("train_windows")
+                  for info in cl.ranks)
+    return elapsed, windows
+
+
+def test_pairwise_alltoall_stream_windows_exact():
+    slow, _ = _pairwise_alltoall(adaptive=False)
+    fast, windows = _pairwise_alltoall(adaptive=True)
+    assert fast == slow
+    assert windows > 0

@@ -3,9 +3,10 @@
 Three representative points per figure run against
 ``tests/golden/fig6_bandwidth.json`` / ``fig7_latency.json`` with an
 explicit 3% tolerance: small-message bandwidth, the buffering peak, the
-msglib latency curve.  The 4 MiB sustained-bandwidth points take tens of
-seconds of simulation and run under ``-m slow`` only (CI's scheduled
-job; ``python -m repro.obs.regen_goldens`` regenerates everything).
+msglib latency curve.  The 4 MiB sustained-bandwidth points run in the
+fast tier too (a few seconds with WC stream windows) and again under
+``-m slow`` (CI's scheduled job; ``python -m repro.obs.regen_goldens``
+regenerates everything).
 """
 
 import os
@@ -64,6 +65,15 @@ def test_goldens_cover_the_paper_anchors():
     assert fig6["fig6.weak.262144.mbps"] == pytest.approx(5300, rel=0.05)
     fig7 = load_golden(FIG7)["metrics"]
     assert fig7["fig7.slots1.hrt_ns"] == pytest.approx(227, rel=0.08)
+
+
+def test_fig6_sustained_bandwidth_points_fast_tier():
+    """The 4 MiB weak/strict plateaus on the shipped configuration, where
+    both streams ride WC stream windows end to end."""
+    points = run_golden_figures(fig6_sizes=FIG6_SLOW_SIZES, fig7_slots=())
+    violations = compare_to_golden({"fig6": points["fig6"]},
+                                   _fig6_golden_subset(FIG6_SLOW_SIZES))
+    assert not violations, "\n".join(violations)
 
 
 @pytest.mark.slow
