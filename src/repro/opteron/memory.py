@@ -28,6 +28,8 @@ PAGE_SHIFT = 12
 #: Dual-channel DDR2-800 peak transfer rate, bytes/ns.
 DDR2_BYTES_PER_NS = 12.8
 
+_INF = float("inf")
+
 
 class MemoryError_(RuntimeError):
     """Out-of-range physical memory access (master abort)."""
@@ -237,14 +239,17 @@ class MemoryController:
                 return
             best.apply_one()
 
-    def flush_spans(self, now: float) -> None:
+    def flush_spans(self, now: float, claimed: float = _INF) -> None:
         """Make span DRAM content and write accounting real up to ``now``
-        (called before any content observation)."""
+        (called before any content observation).  ``claimed`` is the port
+        claim instant of a read committing at ``now``: a span write that
+        commits at that same instant precedes the read only if it claimed
+        the port first."""
         if not self._spans:
             return
         self._sync_spans(now)
         for s in list(self._spans):
-            s.flush_until(now)
+            s.flush_until(now, claimed)
 
     def sample(self, offset: int, length: int) -> bytes:
         """Zero-time DRAM sample with span content made real first (the
@@ -310,12 +315,14 @@ class MemoryController:
         done = self.sim.event(name=self._rd_name)
         base = self.timing.dram_read_uc_ns if uncached else self.timing.dram_read_ns
         complete = self._claim_port(length) + base
-        self.sim._push(complete, self._commit_read, (offset, length, done))
+        self.sim._push(complete, self._commit_read,
+                       (offset, length, done, self.sim._now))
         return done
 
-    def _commit_read(self, offset: int, length: int, done: Event) -> None:
+    def _commit_read(self, offset: int, length: int, done: Event,
+                     claimed: float) -> None:
         if self._spans:
-            self.flush_spans(self.sim._now)
+            self.flush_spans(self.sim._now, claimed)
         data = self.memory.read(offset, length)
         self.reads += 1
         self.bytes_read += length

@@ -24,7 +24,8 @@ same window fed ``K`` lines at once.  While the window is open:
   (WC stats, ``mmio_writes``, link TX stats, posted-queue depth metric
   samples) are applied lazily at the virtual times they would have
   occurred, and the storing core spends one calendar entry per store
-  (its resume at the acceptance instant);
+  (its resume at the acceptance instant; a multi-line store first
+  relays at its first line's fill end and its last line's fill start);
 * the receiver side stays *real*: one calendar callback per packet at
   the exact per-packet commit instant performs the destination's
   ``memctrl.write_posted`` and ``rx_writes`` accounting (or, with
@@ -261,7 +262,12 @@ class BulkTrain:
         self.aborted = False
         self.cut = 0             # first packet index NOT owned by the train
         self._seen = 0           # lines whose acceptance the core observed
-        self._at_last_fill = False  # completion entry pushed at the last fill
+        self._filled = 0         # lines whose fill end the core observed
+        # The core's pending entry: its instant, and the line whose
+        # per-packet fill-end entry it was pushed in place of (the seq
+        # slot it holds), or None.
+        self._pend_at = 0.0
+        self._pend_slot: Optional[int] = None
         self._resuming = False   # the core runs inside its completion entry
         self.resume_fills = 0
         self.resume_put: Optional[Event] = None
@@ -441,7 +447,14 @@ class BulkTrain:
             # The next depth sample looks back one pop and scans accepts.
             r = min(r, self._depth_applied - 1, self._ja)
         span = self._span
-        r = min(r, span._flushed if span is not None else self._chain_idx)
+        if span is not None:
+            # The retire batch is the commit span's flush point too (only
+            # commits strictly before now: one at this instant may still
+            # trail a same-instant read).
+            span.flush_until(now, -_INF)
+            r = min(r, span._flushed)
+        else:
+            r = min(r, self._chain_idx)
         n = r - b
         if n >= _RETIRE_BATCH:
             for lst in (self.fs, self.fill_done, self.accept, self.pop,
@@ -492,21 +505,24 @@ class BulkTrain:
         # a guarded no-op would still drag the clock out to t_end when an
         # interrupt makes the calendar drain early.
         self.wake = Event(sim, name=self._wake_name)
-        # The core resumes from an entry pushed where the per-packet core
-        # pushes its last fill sleep (a multi-line store relays there
-        # first), so it keeps that entry's seq slot within its instant.
-        self._at_last_fill = nlines == 1
-        self._complete_seq = sim._push_cancellable(
-            self.t_end if nlines == 1 else self.fs[-1],
-            self._complete if nlines == 1 else self._relay, None)
-        off = self._mcw_off
         ss, b = self.ss, self._base
+        # The core's entries are pushed where the per-packet core pushes
+        # its fill sleeps, so each keeps that entry's seq slot within its
+        # instant: a single line resumes at its acceptance; a multi-line
+        # store first relays at its first line's fill end (a same-instant
+        # foreign submit must see that line submitted exactly when the
+        # per-packet core's entry ran first), then at its last fill start.
+        if nlines == 1:
+            self._arm_core(self.t_end, self._complete, first)
+        else:
+            self._arm_core(self.fill_done[first - b], self._relay, first)
+        off = self._mcw_off
         if self._use_span:
             # Flow-level fidelity: the destination commit schedule is one
             # arithmetic span on the controller instead of two calendar
             # entries per line (see repro.sim.flows).
             span = self._span
-            if span is None or span._detached:
+            if span is None:
                 span = self._span = CommitSpan(
                     sim, self.dest_mc, self.dest_nb, CACHELINE, first)
             span.append([s + off for s in ss[first - b:]],
@@ -575,10 +591,30 @@ class BulkTrain:
             # drained (a later append would restart the chain).
             self._close()
 
+    def _arm_core(self, at: float, fn, slot: Optional[int]) -> None:
+        self._pend_at = at
+        self._pend_slot = slot
+        self._complete_seq = self.sim._push_cancellable(at, fn, None)
+
     def _relay(self, _=None) -> None:
-        self._at_last_fill = True
-        self._complete_seq = self.sim._push_cancellable(
-            self.t_end, self._complete, None)
+        """A multi-line store's core entry before its last line: at the
+        fill end of the line whose slot it holds, the per-packet core
+        submits that line here and starts the next fill."""
+        if self.aborted:
+            self._complete()  # kept by the demotion as the core's fill end
+            return
+        b = self._base
+        now = self.sim._now
+        i = self._pend_slot
+        if i is not None and self.fill_done[i - b] == now:
+            self._filled = i + 1
+        last = self.K - 1
+        if self.fs[last - b] <= now:
+            self._arm_core(self.t_end, self._complete, last)
+        else:
+            nxt = i is not None and self.fs[i + 1 - b] == now
+            self._arm_core(self.fs[last - b], self._relay,
+                           i + 1 if nxt else None)
 
     def _complete(self, _=None) -> None:
         self._complete_seq = None
@@ -601,6 +637,7 @@ class BulkTrain:
             self._finalize_seq = self.sim._push_cancellable(
                 self.t_final, self._finalize, None)
             return
+        self._span.seal()
         self._close()
 
     def _close(self) -> None:
@@ -668,6 +705,14 @@ class BulkTrain:
             if accept[j] > fill_done[j]:
                 # A blocked line is admitted by the pop freeing its slot.
                 npop = max(npop, j - self.capq + 1)
+        filled = self._filled - b
+        if f < filled:
+            # The core's relay ran at this line's fill end before the
+            # aborting entry: the line was submitted (and, unblocked,
+            # accepted) there.
+            f = filled
+            if m < f and accept[f - 1] == fill_done[f - 1]:
+                m = f
         # Push instant of the triggering calendar entry, where known: the
         # core's own completion entry went on the calendar at the store's
         # last fill start.
@@ -764,19 +809,29 @@ class BulkTrain:
                                               (p,))))
         if not self.wake._triggered:
             key = self.fs[f] if f < n else accept[f - 1]
-            # A core mid-fill on its store's last, unblocked line keeps its
-            # completion entry: it sits exactly where the per-packet core's
-            # fill-end entry would (same instant, same push order) -- unless
-            # a re-created entry pushed earlier collides with it.
-            keep = (self._at_last_fill and f == n - 1
-                    and fill_done[f] == self.t_end
-                    and not any(at == self.t_end and k <= key
+            # A core mid-fill on line f keeps its pending entry if that
+            # entry holds line f's seq slot: moved to the fill end, it sits
+            # exactly where the per-packet core's fill-end entry would
+            # (same instant, same push order) -- unless a re-created entry
+            # pushed earlier collides with it.
+            keep = (self._pend_slot == b + f and f == m and f < n
+                    and self._complete_seq is not None
+                    and not any(at == fill_done[f] and k <= key
                                 for k, _, at, _ in entries))
+            if keep and self._pend_at != fill_done[f]:
+                sim._retime(self._complete_seq, fill_done[f])
             if not keep:
                 if self._complete_seq is not None:
                     sim._cancel(self._complete_seq)
                     self._complete_seq = None
-                entries.append((key, 2, T, self.wake.succeed))
+                if f == m and f < n:
+                    # Mid-fill: the fill-end entry goes on the calendar
+                    # now, ahead of anything the aborting action pushes.
+                    fd = fill_done[f]
+                    entries.append((key, 2, fd, lambda: self._arm_core(
+                        fd, self._complete, None)))
+                else:
+                    entries.append((key, 2, T, self.wake.succeed))
         entries.sort(key=lambda e: (e[0], e[1]))
         for _, _, _, push in entries:
             push()

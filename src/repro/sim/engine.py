@@ -72,11 +72,11 @@ class SimFeatures:
     #: repro.opteron.train).
     adaptive_fidelity: bool = True
     #: Flow-level macro events for the remaining traffic classes: msglib
-    #: ring slot writes, same-route remote read/response chains and
-    #: multi-hop forwarding (see repro.sim.flows).  Default off -- the
-    #: flag only changes wall-clock cost, never virtual time, but keeping
-    #: it opt-in pins every recorded event-count gate bit-identical.
-    flow_fidelity: bool = False
+    #: ring slot writes, destination commit spans, same-route remote
+    #: read/response chains and multi-hop forwarding (see
+    #: repro.sim.flows).  Changes wall-clock cost, never virtual time; off
+    #: is the per-packet reference the equivalence oracles compare with.
+    flow_fidelity: bool = True
 
 
 class SimulationError(RuntimeError):
@@ -652,6 +652,22 @@ class Simulator:
         dead sentinel in the set forever.
         """
         self._cancelled.add(seq)
+
+    def _retime(self, seq: int, at: float) -> None:
+        """Move a pending :meth:`_push_cancellable` entry to instant ``at``
+        while keeping its seq, i.e. its place among the entries of that
+        instant is the one it had when it was pushed.
+
+        O(calendar size): for rare demotion paths that must re-create an
+        entry the per-packet run pushed earlier than the current instant.
+        """
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[1] == seq:
+                heap[i] = (at, seq, entry[2], entry[3])
+                heapq.heapify(heap)
+                return
+        raise SimulationError(f"no pending entry with seq {seq}")
 
     def _schedule_event(self, ev: Event, delay: float = 0.0) -> None:
         # No argument tuple to build or unpack for the (dominant) event

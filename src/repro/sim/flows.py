@@ -38,7 +38,8 @@ deterministic; any foreign interaction -- a send on an owned link
 direction, a fault injection, a BER/rate change, a link state change --
 must *demote* the flow first, reconstructing bit-identical per-packet
 state at the demotion instant.  Flows change wall-clock cost, never
-virtual time; ``SimFeatures.flow_fidelity`` (default off) gates them all.
+virtual time; ``SimFeatures.flow_fidelity`` (default on) gates them all,
+and turning it off gives the per-packet reference.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class CommitSpan:
       foreign occupancy would have imposed.
     * ``_flushed``  -- commits whose DRAM content, ``writes`` accounting
       and doorbell rings have been applied.  Flushing happens at
-      observation points only: a foreign commit, a direct sample, a
-      doorbell wake, an append, demotion, or the span's finalize entry.
+      observation points only, in batches: a foreign commit, a direct
+      sample, a doorbell wake, the owner's retire batch, demotion, or
+      the span's finalize entry.  An append only records the schedule.
     * deferred doorbell rings -- the span registers as a *provider* on
       every watched doorbell overlapping its range, so ``Doorbell.count``
       reads fold in rings that exist arithmetically, and a calendar
@@ -140,7 +142,8 @@ class CommitSpan:
 
     __slots__ = ("sim", "mc", "dest_nb", "offs", "srcs", "times", "K",
                  "_base", "line", "occ", "_lat", "_c", "_applied",
-                 "_flushed", "_recs", "_entries", "_fin_seq", "_detached")
+                 "_flushed", "_recs", "_entries", "_fin_seq", "_fin_pushed",
+                 "_detached")
 
     def __init__(self, sim, mc, dest_nb, line, base):
         self.sim = sim
@@ -160,17 +163,21 @@ class CommitSpan:
         self._flushed = base
         #: (doorbell, sorted overlapping global line numbers) per watch.
         self._recs = []
-        self._entries = {}            # doorbell -> (entry seq, seen count)
+        #: doorbell -> (entry seq, target line, push instant)
+        self._entries = {}
         self._fin_seq = None
+        self._fin_pushed = 0.0
         self._detached = False
         mc._spans.append(self)
 
     def append(self, times, offs, srcs) -> None:
         """Extend the arrival schedule (causal: no new arrival precedes
         an existing one).  A line's bytes are ``mv[off - origin:][:line]``
-        for its ``(mv, origin)`` source."""
-        self.flush_until(self.sim._now)
-        self._prune()
+        for its ``(mv, origin)`` source.
+
+        Pure bookkeeping: nothing is applied or flushed here -- that waits
+        for an observation point (the owner's retire batches bound the
+        backlog, and :meth:`seal` ends the span)."""
         i0 = self.K
         self.times += times
         self.offs += offs
@@ -194,12 +201,13 @@ class CommitSpan:
             # never hit the park-time arming hook -- arm for it now.
             if db._waiters:
                 self.arm(db)
-        if self._fin_seq is None:
-            # One entry holds the calendar open to the last commit (the
-            # per-packet run's final _commit_write entry); re-armed if the
-            # span grows or foreign port occupancy pushes it later.
-            self._fin_seq = self.sim._push_cancellable(
-                self._estimate(self.K - 1), self._finalize, None)
+
+    def seal(self) -> None:
+        """The owner appends no more: one entry now holds the calendar
+        open to the last commit (the per-packet run's final
+        ``_commit_write`` entry), re-armed while foreign port occupancy
+        pushes that commit later."""
+        self._arm_finalize()
 
     def _prune(self) -> None:
         n = self._flushed - self._base
@@ -227,9 +235,27 @@ class CommitSpan:
         self.dest_nb.counters.inc("rx_writes")
 
     def sync_to(self, now: float) -> None:
-        times, b = self.times, self._base
-        while self._applied < self.K and times[self._applied - b] <= now:
-            self.apply_one()
+        """Fold every arrival due by ``now`` into the port FCFS state
+        (:meth:`apply_one` in a loop, with the cursor state in locals)."""
+        base = self._base
+        i = j = self._applied - base
+        times = self.times
+        n = self.K - base
+        if j >= n or times[j] > now:
+            return
+        mc = self.mc
+        b = mc._busy_until
+        occ, lat, c = self.occ, self._lat, self._c
+        while j < n:
+            a = times[j]
+            if a > now:
+                break
+            b = (b if b > a else a) + occ
+            c.append(b + lat)
+            j += 1
+        mc._busy_until = b
+        self._applied = base + j
+        self.dest_nb.counters.inc("rx_writes", j - i)
 
     def _estimate(self, j: int) -> float:
         """Earliest possible commit instant of line ``j`` (exact once the
@@ -249,10 +275,18 @@ class CommitSpan:
     def _rings(self, idxs, n: int) -> int:
         return bisect_left(idxs, n)
 
-    def flush_until(self, now: float) -> None:
+    def flush_until(self, now: float, claimed: float = _INF) -> None:
+        """Apply content, accounting and rings of every commit due by
+        ``now``; one committing exactly at ``now`` only if it claimed the
+        port at or before ``claimed`` (a same-instant read that claimed
+        first commits, and samples memory, ahead of it)."""
         self.sync_to(now)
         base = self._base
-        n = base + bisect_right(self._c, now)
+        c = self._c
+        k = bisect_left(c, now)
+        if k < len(c) and c[k] == now and self.times[k] <= claimed:
+            k += 1
+        n = base + k
         f = self._flushed
         if n <= f:
             return
@@ -276,6 +310,7 @@ class CommitSpan:
         for db, idxs in self._recs:
             db._count += self._rings(idxs, n) - self._rings(idxs, f)
         self._flushed = n
+        self._prune()
 
     # -- dynamic watch registration -----------------------------------------
     def add_watch(self, lo: int, hi: int, db, now: float) -> None:
@@ -330,25 +365,32 @@ class CommitSpan:
                 k = self._rings(idxs, self._flushed)
                 if k >= len(idxs):
                     return
-                seq = self.sim._push_cancellable(
+                sim = self.sim
+                seq = sim._push_cancellable(
                     self._estimate(idxs[k]), self._ring_fire, (db,))
-                self._entries[db] = (seq, db.count)
+                self._entries[db] = (seq, idxs[k], sim._now)
                 return
 
     def _ring_fire(self, db) -> None:
-        _, seen = self._entries.pop(db, (None, None))
-        self.flush_until(self.sim._now)
+        """The armed commit's instant.  The entry stands in for that
+        commit's per-packet entry, pushed at its arrival: a commit at this
+        very instant counts only if it arrived no later than this entry
+        was pushed -- otherwise the per-packet entry would run after
+        everything already queued here (a read claimed first included),
+        so re-arm behind them."""
+        _, target, pushed = self._entries.pop(db)
+        self.flush_until(self.sim._now, pushed)
         if not db._waiters:
             return
-        if db.count != seen:
+        if self._flushed > target:
             db._wake_waiters()
         else:
-            self.arm(db)  # fired on a lower-bound estimate; re-arm exact
+            self.arm(db)  # early estimate or same-instant tie; re-arm
 
     # -- lifecycle ----------------------------------------------------------
     def _finalize(self, _=None) -> None:
         self._fin_seq = None
-        self.flush_until(self.sim._now)
+        self.flush_until(self.sim._now, self._fin_pushed)
         if self._flushed >= self.K:
             # A ring entry armed for this same instant would be cancelled
             # by the detach below: deliver its wake here instead.
@@ -357,8 +399,13 @@ class CommitSpan:
                 self._ring_fire(db)
             self.detach()
         else:
-            self._fin_seq = self.sim._push_cancellable(
-                self._estimate(self.K - 1), self._finalize, None)
+            self._arm_finalize()
+
+    def _arm_finalize(self) -> None:
+        sim = self.sim
+        self._fin_pushed = sim._now
+        self._fin_seq = sim._push_cancellable(
+            self._estimate(self.K - 1), self._finalize, None)
 
     def detach(self) -> None:
         if self._detached:
@@ -368,7 +415,7 @@ class CommitSpan:
         if self._fin_seq is not None:
             sim._cancel(self._fin_seq)
             self._fin_seq = None
-        for seq, _ in self._entries.values():
+        for seq, _t, _p in self._entries.values():
             sim._cancel(seq)
         self._entries.clear()
         for db, _ in self._recs:
@@ -784,7 +831,33 @@ class ForwardFlow:
         # ones, reordering the stream -- and no other consumer.
         if d_in.rx._items or d_in.rx._getters:
             return False
-        return True
+        # Admission: the in-direction must already show the next packet,
+        # and it must take the same route.  A flow opened on a lone packet
+        # absorbs only the trigger and demotes on the next arrival (an
+        # interleaved stream for this node, say) -- pure churn.
+        nxt = cls._successor(d_in, nb.sim._now)
+        return nxt is not None and cls._routes_out(
+            nb, binding_out.port, pkt0.wire_bytes(link_in._crc_bytes),
+            link_in._crc_bytes, nxt)
+
+    @staticmethod
+    def _successor(d_in, now: float):
+        """The next packet visible on ``d_in``: the head of the burst
+        deliveries still on the wire or, failing that, the head of the
+        sender's TX queue (a per-packet serialization in flight is not
+        inspectable and is skipped).  ``None`` when nothing is visible or
+        two virtual channels are queued (arrival order still open)."""
+        prop = d_in.link.propagation_ns
+        for _seq, end, p, _vc in d_in._burst_fly:
+            if end + prop > now:
+                return p
+        head = None
+        for q in d_in.txq.values():
+            if q._items:
+                if head is not None:
+                    return None
+                head = q._items[0]
+        return head
 
     def __init__(self, nb, d_in, binding_out, out_port, pkt0):
         from ..obs.metrics import flow_counters
@@ -828,15 +901,22 @@ class ForwardFlow:
         self._rel_seq = sim._push_cancellable(e, self._maybe_release, None)
 
     def wants(self, pkt) -> bool:
+        return self._routes_out(self.nb, self.out_port, self.wire,
+                                self.link_in._crc_bytes, pkt)
+
+    @staticmethod
+    def _routes_out(nb, out_port, wire, crc, pkt) -> bool:
+        """``pkt`` is a plain posted write of ``wire`` bytes that ``nb``
+        forwards out of ``out_port``."""
         from ..ht.packet import Command
         from ..opteron.northbridge import MasterAbort, RouteKind
 
         if pkt.cmd is not Command.WRITE_POSTED or pkt.mask is not None:
             return False
-        if pkt.wire_bytes(self.link_in._crc_bytes) != self.wire:
+        if pkt.wire_bytes(crc) != wire:
             return False
         try:
-            r = self.nb.route(pkt.addr)
+            r = nb.route(pkt.addr)
             if not r.writable:
                 return False
             if r.kind is RouteKind.MMIO_LOCAL_LINK:
@@ -844,9 +924,9 @@ class ForwardFlow:
                 # are rewritten non-coherent) on this branch: per-packet.
                 if pkt.coherent:
                     return False
-                return r.dst_link == self.out_port
+                return r.dst_link == out_port
             if r.kind is RouteKind.DRAM_REMOTE or r.kind is RouteKind.MMIO_REMOTE:
-                return self.nb._fabric_port_for(r.dst_node) == self.out_port
+                return nb._fabric_port_for(r.dst_node) == out_port
             return False
         except MasterAbort:
             return False

@@ -559,3 +559,60 @@ def test_pairwise_alltoall_stream_windows_exact():
     fast, windows = _pairwise_alltoall(adaptive=True)
     assert fast == slow
     assert windows > 0
+
+
+# ---------------------------------------------------------------------------
+# Allreduce under both settings: binomial trees send to several children
+# from one core, so coalesced slot spans race same-instant stores
+# ---------------------------------------------------------------------------
+
+def run_allreduce(algorithm, flow, nbytes=16 * KiB):
+    """A seeded float64 allreduce on torus2d(4,4); returns the virtual
+    elapsed time, every rank's result bytes and every node's DRAM image
+    (resident pages)."""
+    import numpy as np
+
+    from repro.middleware import Communicator
+    from repro.topology import torus2d
+
+    system = TCClusterSystem(torus2d(4, 4), msg_cfg=MsgConfig(
+        ring_bytes=64 * KiB, eager_max=24576, fb_interval_slots=128,
+        heap_bytes=max(512 * KiB, 2 * nbytes)))
+    system.sim.features.flow_fidelity = flow
+    system.boot()
+    cl = system.cluster
+    sim = system.sim
+    rng = np.random.default_rng(1)
+    inputs = [rng.integers(-2**20, 2**20, nbytes // 8).astype(np.float64)
+              for _ in range(cl.nranks)]
+    comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
+    results = {}
+
+    def driver(c):
+        results[c.rank] = yield from c.allreduce(inputs[c.rank], op="sum",
+                                                 algorithm=algorithm)
+
+    t0 = sim.now
+    procs = [sim.process(driver(c)) for c in comms]
+    sim.run_until_event(sim.all_of(procs))
+    sim.run()
+    oracle = np.sum(inputs, axis=0)
+    assert all(np.array_equal(results[r], oracle) for r in range(cl.nranks))
+    memory = [{p: bytes(page) for p, page in info.chip.memory._pages.items()}
+              for info in cl.ranks]
+    return dict(elapsed=sim.now - t0,
+                results=[results[r].tobytes() for r in range(cl.nranks)],
+                memory=memory, slot_windows=flow_counters(sim).slot_windows)
+
+
+@pytest.mark.parametrize("algorithm", ["binomial", "ring"])
+def test_allreduce_flow_fidelity_exact(algorithm):
+    """A multi-slot span store whose first line ends its fill at the very
+    instant another process's store on the same core submits must keep
+    the per-slot order (the binomial tree's sibling sends); ring pins the
+    clean case."""
+    off = run_allreduce(algorithm, flow=False)
+    on = run_allreduce(algorithm, flow=True)
+    for key in ("elapsed", "results", "memory"):
+        assert off[key] == on[key], f"{algorithm}: {key} diverged"
+    assert on["slot_windows"] > 0 and off["slot_windows"] == 0

@@ -281,6 +281,18 @@ def test_cancel_is_scoped_to_one_entry():
     assert sim.now == 3.0
 
 
+def test_retime_keeps_push_order_within_the_new_instant():
+    sim = Simulator()
+    fired = []
+    early = sim._push_cancellable(50.0, lambda: fired.append("early"), None)
+    sim.schedule(7.0, lambda: fired.append("late"))
+    sim._retime(early, 7.0)
+    sim.run()
+    # Moved to t=7 but still ordered by its original (earlier) push.
+    assert fired == ["early", "late"]
+    assert sim.now == 7.0
+
+
 def test_cancelled_entry_skipped_in_run_until_event():
     sim = Simulator()
     seq = sim._push_cancellable(40.0, lambda: None, None)
@@ -298,38 +310,43 @@ def test_cancelled_entry_skipped_in_run_until_event():
 # test_train_equivalence.py; these pin the three named hazards.
 # ---------------------------------------------------------------------------
 
-from test_train_equivalence import assert_equivalent, run_train_mode
+from test_train_equivalence import FLOWS, assert_equivalent, run_train_mode
+
+
+def _demotion_pair(K, kind, t_off):
+    """Per-packet and train runs of one disturbed store under each
+    ``flow_fidelity`` setting, asserted equivalent; returns the train
+    runs."""
+    fast_runs = []
+    for flow in FLOWS:
+        slow = run_train_mode(K, fast=False, kind=kind, t_off=t_off, flow=flow)
+        fast = run_train_mode(K, fast=True, kind=kind, t_off=t_off, flow=flow)
+        assert_equivalent(slow, fast, flow)
+        fast_runs.append(fast)
+    return fast_runs
 
 
 def test_train_contention_arriving_mid_train():
     # A local posted write enters the northbridge while the train is in
     # full flight (K=64 window spans ~1.5us; t=241.3 is mid-window).
-    slow = run_train_mode(64, fast=False, kind="submit", t_off=241.3)
-    fast = run_train_mode(64, fast=True, kind="submit", t_off=241.3)
-    assert_equivalent(slow, fast)
-    assert fast["train_demotions"] >= 1, "contention must demote"
+    for fast in _demotion_pair(64, "submit", 241.3):
+        assert fast["train_demotions"] >= 1, "contention must demote"
 
 
 def test_train_link_degradation_mid_train():
     # A BER pulse (retry-capable link state) during the aggregate window:
     # the fidelity switch may not keep arithmetic timestamps once the
     # wire can corrupt packets.
-    slow = run_train_mode(64, fast=False, kind="ber", t_off=160.9)
-    fast = run_train_mode(64, fast=True, kind="ber", t_off=160.9)
-    assert_equivalent(slow, fast)
-    assert fast["train_demotions"] >= 1, "degradation must demote"
+    for fast in _demotion_pair(64, "ber", 160.9):
+        assert fast["train_demotions"] >= 1, "degradation must demote"
 
 
 def test_train_interrupt_inside_aggregated_window():
-    slow = run_train_mode(64, fast=False, kind="interrupt", t_off=93.1)
-    fast = run_train_mode(64, fast=True, kind="interrupt", t_off=93.1)
-    assert_equivalent(slow, fast)
-    assert "store_interrupted" in fast["done"]
-    assert fast["train_demotions"] >= 1, "interrupt must demote"
+    for fast in _demotion_pair(64, "interrupt", 93.1):
+        assert "store_interrupted" in fast["done"]
+        assert fast["train_demotions"] >= 1, "interrupt must demote"
 
 
 def test_train_foreign_rx_traffic_mid_train():
     # A packet from elsewhere entering the same link direction.
-    slow = run_train_mode(16, fast=False, kind="send", t_off=47.77)
-    fast = run_train_mode(16, fast=True, kind="send", t_off=47.77)
-    assert_equivalent(slow, fast)
+    _demotion_pair(16, "send", 47.77)

@@ -17,22 +17,103 @@ an arbitrary instant by a foreign posted write, a foreign link send, a
 BER pulse or an interrupt.  The seeded fuzz below drives exactly that
 comparison, for bulk stores and for mixed store programs.
 
+Every case runs under both ``flow_fidelity`` settings.  With it off the
+destination commits are real calendar entries and the oracle compares
+them one by one, in execution order.  With it on a
+:class:`~repro.sim.flows.CommitSpan` computes them arithmetically, so the
+oracle compares the union of real and computed commits (instant, offset,
+length) and of memory-port claim instants instead.
+
 Known, deliberate divergences (excluded from comparison): the per-burst
 ``bursts`` LinkStats counter and the train's own ``train_*`` /
 ``train.*`` telemetry (absent in per-packet mode by construction).
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.util.units import CACHELINE
 
+FLOWS = (False, True)
 
-def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
+
+@contextmanager
+def spy_dest_commits(sim, mc):
+    """Record the destination controller's commits as ``(instant, offset,
+    length)`` and its port claims as transfer-end instants: the real
+    calendar commits in ``commits``, and in ``span_commits`` /
+    ``span_claims`` the ones a commit span computes arithmetically (a
+    span line's claim when the span folds it into the port arithmetic,
+    its commit when the span makes it real; a line a demotion hands back
+    as a real calendar commit shows up in ``commits`` instead)."""
+    from repro.sim import flows
+
+    log = dict(commits=[], claims=[], span_commits=[], span_claims=[])
+    applied = {}
+    orig_commit, orig_claim = mc._commit_write, mc._claim_port
+    Span = flows.CommitSpan
+    orig = (Span.sync_to, Span.apply_one, Span.flush_until)
+    orig_sync, orig_apply, orig_flush = orig
+
+    def commit_spy(offset, d, mask, done):
+        log["commits"].append((sim.now, offset, len(d)))
+        return orig_commit(offset, d, mask, done)
+
+    def claim_spy(nbytes):
+        end = orig_claim(nbytes)
+        log["claims"].append(end)
+        return end
+
+    def record(span, a0):
+        b = span._base
+        for g in range(a0, span._applied):
+            c = span._c[g - b]
+            applied[id(span), g] = (c, span.offs[g - b], span.line)
+            log["span_claims"].append(c - span._lat)
+
+    def sync_spy(span, now):
+        a0 = span._applied
+        orig_sync(span, now)
+        record(span, a0)
+
+    def apply_spy(span):
+        a0 = span._applied
+        orig_apply(span)
+        record(span, a0)
+
+    def flush_spy(span, now, claimed=float("inf")):
+        f0 = span._flushed
+        orig_flush(span, now, claimed)
+        for g in range(f0, span._flushed):
+            log["span_commits"].append(applied.pop((id(span), g)))
+
+    mc._commit_write, mc._claim_port = commit_spy, claim_spy
+    Span.sync_to, Span.apply_one, Span.flush_until = (sync_spy, apply_spy,
+                                                      flush_spy)
+    try:
+        yield log
+    finally:
+        Span.sync_to, Span.apply_one, Span.flush_until = orig
+        del mc._commit_write, mc._claim_port
+
+
+def commit_results(log):
+    """End-state entries of a :func:`spy_dest_commits` log."""
+    return dict(
+        commits=log["commits"],
+        all_commits=sorted(log["commits"] + log["span_commits"]),
+        claims=sorted(log["claims"] + log["span_claims"]),
+    )
+
+
+def run_train_mode(K, fast, kind=None, t_off=None, tail=0, flow=False):
     """One two-board bulk store of ``K`` lines (+``tail`` bytes); returns
-    an end-state dict.  ``kind``/``t_off`` optionally schedule a foreign
-    disturbance ``t_off`` ns after the store begins:
+    an end-state dict.  ``flow`` sets ``flow_fidelity`` (off: per-line
+    destination commits; on: commit spans).  ``kind``/``t_off``
+    optionally schedule a foreign disturbance ``t_off`` ns after the
+    store begins:
 
     * ``"submit"``   -- a local posted write enters the same northbridge,
     * ``"send"``     -- a foreign packet enters the same link direction,
@@ -46,6 +127,7 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
     system = TCClusterSystem.two_board_prototype()
     system.enable_metrics()
     system.sim.features.adaptive_fidelity = fast
+    system.sim.features.flow_fidelity = flow
     system.boot()
     cl = system.cluster
     sim = cl.sim
@@ -60,15 +142,6 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
     link, side = binding.link, binding.side
     dest_chip = link.attached["B" if side == "A" else "A"]
     data = bytes((i * 37 + 5) % 256 for i in range(K * CACHELINE + tail))
-
-    commits = []
-    orig = dest_chip.memctrl._commit_write
-
-    def spy(offset, d, mask, done):
-        commits.append((sim.now, offset, len(d)))
-        return orig(offset, d, mask, done)
-
-    dest_chip.memctrl._commit_write = spy
 
     done = {}
     handle = [None]
@@ -114,8 +187,9 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
 
     if kind is not None:
         sim.schedule(t_off, disturb)
-    sim.run_until_event(handle[0])
-    sim.run()
+    with spy_dest_commits(sim, dest_chip.memctrl) as log:
+        sim.run_until_event(handle[0])
+        sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
     for s in stats:
@@ -128,7 +202,6 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
     return dict(
         t_end=sim.now,
         done=done,
-        commits=commits,
         stats=stats,
         counters=counters,
         dest_counters=dest_chip.nb.counters.as_dict(),
@@ -139,17 +212,22 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
         events=sim.event_count,
         train_windows=nb.counters.get("train_windows"),
         train_demotions=nb.counters.get("train_demotions"),
+        **commit_results(log),
     )
 
 
-_COMPARED = ("t_end", "done", "commits", "stats", "counters",
+_COMPARED = ("t_end", "done", "all_commits", "claims", "stats", "counters",
              "dest_counters", "wc", "snap", "dest_mem", "local_mem")
 
 
-def assert_equivalent(slow, fast):
-    for key in _COMPARED:
+def assert_equivalent(slow, fast, flow=False):
+    """``flow`` off additionally pins the per-line commit oracle: every
+    destination commit is a real calendar entry, compared in execution
+    order."""
+    keys = _COMPARED if flow else _COMPARED + ("commits",)
+    for key in keys:
         assert slow[key] == fast[key], (
-            f"{key} diverged:\n  slow: {str(slow[key])[:400]}"
+            f"{key} diverged (flow={flow}):\n  slow: {str(slow[key])[:400]}"
             f"\n  fast: {str(fast[key])[:400]}"
         )
 
@@ -160,43 +238,48 @@ def assert_equivalent(slow, fast):
 
 @pytest.mark.parametrize("K", [1, 4, 5, 16, 64])
 def test_clean_bulk_store_exact(K):
-    slow = run_train_mode(K, fast=False)
-    fast = run_train_mode(K, fast=True)
-    assert_equivalent(slow, fast)
-    if K >= 4:
-        assert fast["train_windows"] >= 1, "fast path never engaged"
-    if K <= 5:
-        # Larger K: the probe store lands inside the main train's drain
-        # tail and legitimately demotes it (covered by the fuzz below).
-        assert fast["train_demotions"] == 0
+    for flow in FLOWS:
+        slow = run_train_mode(K, fast=False, flow=flow)
+        fast = run_train_mode(K, fast=True, flow=flow)
+        assert_equivalent(slow, fast, flow)
+        if K >= 4:
+            assert fast["train_windows"] >= 1, "fast path never engaged"
+        if K <= 5:
+            # Larger K: the probe store lands inside the main train's
+            # drain tail and legitimately demotes it (covered by the fuzz
+            # below).
+            assert fast["train_demotions"] == 0
 
 
 def test_clean_bulk_store_saves_events():
-    slow = run_train_mode(64, fast=False)
-    fast = run_train_mode(64, fast=True)
-    assert_equivalent(slow, fast)
-    assert fast["events"] < slow["events"] * 0.75, (
-        f"aggregate fidelity saved too little: "
-        f"{slow['events']} -> {fast['events']}"
-    )
+    for flow in FLOWS:
+        slow = run_train_mode(64, fast=False, flow=flow)
+        fast = run_train_mode(64, fast=True, flow=flow)
+        assert_equivalent(slow, fast, flow)
+        assert fast["events"] < slow["events"] * 0.75, (
+            f"aggregate fidelity saved too little (flow={flow}): "
+            f"{slow['events']} -> {fast['events']}"
+        )
 
 
 def test_partial_tail_line_exact():
     # 16 full lines plus a 20-byte tail: the train covers the aligned
     # prefix, the tail goes through the ordinary per-packet partial path.
-    slow = run_train_mode(16, fast=False, tail=20)
-    fast = run_train_mode(16, fast=True, tail=20)
-    assert_equivalent(slow, fast)
-    assert fast["train_windows"] >= 1
+    for flow in FLOWS:
+        slow = run_train_mode(16, fast=False, tail=20, flow=flow)
+        fast = run_train_mode(16, fast=True, tail=20, flow=flow)
+        assert_equivalent(slow, fast, flow)
+        assert fast["train_windows"] >= 1
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("K", [300, 4500])
 def test_clean_bulk_store_exact_large(K):
-    slow = run_train_mode(K, fast=False)
-    fast = run_train_mode(K, fast=True)
-    assert_equivalent(slow, fast)
-    assert fast["events"] < slow["events"] * 0.65
+    for flow in FLOWS:
+        slow = run_train_mode(K, fast=False, flow=flow)
+        fast = run_train_mode(K, fast=True, flow=flow)
+        assert_equivalent(slow, fast, flow)
+        assert fast["events"] < slow["events"] * 0.65
 
 
 # ---------------------------------------------------------------------------
@@ -212,29 +295,27 @@ def _fuzz_cases(seed, n, kinds=("submit", "send", "interrupt", "ber")):
                round(rng.uniform(0.1, span[K]), 2))
 
 
+def assert_train_fuzz_exact(cases):
+    for kind, K, t_off in cases:
+        for flow in FLOWS:
+            slow = run_train_mode(K, False, kind, t_off, flow=flow)
+            fast = run_train_mode(K, True, kind, t_off, flow=flow)
+            try:
+                assert_equivalent(slow, fast, flow)
+            except AssertionError as exc:  # pragma: no cover - diagnostics
+                raise AssertionError(
+                    f"kind={kind} K={K} t_off={t_off}: {exc}") from exc
+
+
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_demotion_fuzz_oracle(seed):
-    for kind, K, t_off in _fuzz_cases(seed, 4):
-        slow = run_train_mode(K, fast=False, kind=kind, t_off=t_off)
-        fast = run_train_mode(K, fast=True, kind=kind, t_off=t_off)
-        try:
-            assert_equivalent(slow, fast)
-        except AssertionError as exc:  # pragma: no cover - diagnostics
-            raise AssertionError(
-                f"kind={kind} K={K} t_off={t_off}: {exc}") from exc
+    assert_train_fuzz_exact(_fuzz_cases(seed, 4))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", list(range(8)))
 def test_demotion_fuzz_oracle_deep(seed):
-    for kind, K, t_off in _fuzz_cases(seed + 100, 12):
-        slow = run_train_mode(K, fast=False, kind=kind, t_off=t_off)
-        fast = run_train_mode(K, fast=True, kind=kind, t_off=t_off)
-        try:
-            assert_equivalent(slow, fast)
-        except AssertionError as exc:  # pragma: no cover - diagnostics
-            raise AssertionError(
-                f"kind={kind} K={K} t_off={t_off}: {exc}") from exc
+    assert_train_fuzz_exact(_fuzz_cases(seed + 100, 12))
 
 
 def test_drain_tail_demotion_exact():
@@ -242,9 +323,7 @@ def test_drain_tail_demotion_exact():
     # roughly 24*16 ns.  A foreign submit in between lands after the core
     # resumed but while the dispatcher/serializer are still replaying the
     # precomputed schedule.
-    slow = run_train_mode(16, fast=False, kind="submit", t_off=300.0)
-    fast = run_train_mode(16, fast=True, kind="submit", t_off=300.0)
-    assert_equivalent(slow, fast)
+    assert_train_fuzz_exact([("submit", 16, 300.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +406,6 @@ def run_stream_mode(ops, fast, kind=None, t_off=None, metrics=True,
     link, side = binding.link, binding.side
     dest_chip = link.attached["B" if side == "A" else "A"]
 
-    commits = []
-    orig = dest_chip.memctrl._commit_write
-
-    def spy(offset, d, mask, done):
-        commits.append((sim.now, offset, len(d)))
-        return orig(offset, d, mask, done)
-
-    dest_chip.memctrl._commit_write = spy
-
     trace = []
 
     def job(ops, tag=0):
@@ -394,8 +464,9 @@ def run_stream_mode(ops, fast, kind=None, t_off=None, metrics=True,
     if kind is not None:
         sim.schedule(t_off, disturb)
     t_start = sim.now
-    sim.run_until_event(handle)
-    sim.run()
+    with spy_dest_commits(sim, dest_chip.memctrl) as log:
+        sim.run_until_event(handle)
+        sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
     for s in stats:
@@ -414,7 +485,6 @@ def run_stream_mode(ops, fast, kind=None, t_off=None, metrics=True,
         t_end=sim.now,
         span=sim.now - t_start,
         trace=trace,
-        commits=commits,
         stats=stats,
         counters=plain(nb.counters),
         dest_counters=plain(dest_chip.nb.counters),
@@ -428,11 +498,13 @@ def run_stream_mode(ops, fast, kind=None, t_off=None, metrics=True,
         train_windows=nb.counters.get("train_windows"),
         train_lines=nb.counters.get("train_lines"),
         train_demotions=nb.counters.get("train_demotions"),
+        **commit_results(log),
     )
 
 
-_STREAM_COMPARED = ("t_end", "trace", "stats", "counters", "dest_counters",
-                    "wc", "snap", "dest_mc", "dest_mem", "local_mem")
+_STREAM_COMPARED = ("t_end", "trace", "all_commits", "claims", "stats",
+                    "counters", "dest_counters", "wc", "snap", "dest_mc",
+                    "dest_mem", "local_mem")
 
 
 #: What a link-down run is compared on.  Under a link flap the per-packet
@@ -449,8 +521,9 @@ _LINK_DOWN_COMPARED = ("trace", "dest_counters", "wc", "dest_mc",
 
 def assert_stream_equivalent(slow, fast, label="", flow=False,
                              link_down=False):
-    # Commit spans apply destination writes arithmetically, so the
-    # per-commit spy only sees them in per-line mode.
+    # Commit spans apply destination writes arithmetically: with them on,
+    # the oracle compares real plus computed commits (see
+    # spy_dest_commits), with them off every commit in execution order.
     keys = _LINK_DOWN_COMPARED if link_down else _STREAM_COMPARED
     if not flow:
         keys += ("commits",)
@@ -483,11 +556,13 @@ def test_stream_disturbance_fuzz(seed):
     for kind in ("submit", "send", "interrupt", "ber", "flap"):
         t_off = round(rng.uniform(5.0, span), 2)
         metrics = rng.random() < 0.5
-        slow = run_stream_mode(ops, False, kind, t_off, metrics)
-        fast = run_stream_mode(ops, True, kind, t_off, metrics)
-        assert_stream_equivalent(
-            slow, fast, f"seed={seed} kind={kind} t_off={t_off} "
-                        f"metrics={metrics}", link_down=kind == "flap")
+        for flow in FLOWS:
+            slow = run_stream_mode(ops, False, kind, t_off, metrics, flow)
+            fast = run_stream_mode(ops, True, kind, t_off, metrics, flow)
+            assert_stream_equivalent(
+                slow, fast, f"seed={seed} kind={kind} t_off={t_off} "
+                            f"metrics={metrics}", flow=flow,
+                link_down=kind == "flap")
 
 
 def test_two_processes_one_core_exact():
@@ -501,6 +576,44 @@ def test_two_processes_one_core_exact():
     fast = run_stream_mode(ops, fast=True, ops2=ops2)
     assert_stream_equivalent(slow, fast)
     assert fast["train_demotions"] >= 1
+
+
+def _second_process_program(seed):
+    """Short multi-line and line stores for a second process on the
+    storing core, starting within a few fills of the first program so its
+    fill ends land on the first store's per-line instants."""
+    rng = random.Random(seed)
+    ops, k = [], 3000
+    for _ in range(rng.randrange(2, 8)):
+        r = rng.random()
+        if r < 0.5:
+            n = rng.randrange(2, 9)
+            ops.append(("bulk", k, n))
+            k += n
+        elif r < 0.8:
+            ops.append(("line", k))
+            k += 1
+        else:
+            ops.append(("gap", rng.choice((0.0, 12.0, 24.0, 36.0, 2.5))))
+    if rng.random() < 0.5:
+        ops.insert(0, ("gap", rng.choice((0.0, 12.0, 24.0, 48.0))))
+    return ops
+
+
+@pytest.mark.parametrize("seed", [9, 14, 22, 35])
+def test_two_processes_same_instant_stores_exact(seed):
+    """Two processes store through one core from the first instant on: a
+    multi-line store's fill ends meet the other process's fill ends in
+    the same instant, where per-packet calendar order decides which line
+    is submitted first (the first line's relay and the demotion's
+    fill-end entry reproduce it)."""
+    ops = _stream_program(seed, nops=40)
+    ops2 = _second_process_program(seed)
+    for flow in FLOWS:
+        slow = run_stream_mode(ops, False, metrics=False, flow=flow, ops2=ops2)
+        fast = run_stream_mode(ops, True, metrics=False, flow=flow, ops2=ops2)
+        assert_stream_equivalent(slow, fast, f"seed={seed}", flow=flow)
+        assert fast["train_demotions"] >= 1
 
 
 @pytest.mark.parametrize("ops", [
@@ -582,6 +695,7 @@ def _msglib_weak_send(fast):
 
     system = TCClusterSystem.two_board_prototype()
     system.sim.features.adaptive_fidelity = fast
+    system.sim.features.flow_fidelity = False
     system.boot()
     cl = system.cluster
     sim = cl.sim
