@@ -14,8 +14,8 @@ model's accuracy.  Scenarios:
 * ``fig6_4mib_weak`` -- the heaviest single figure point: one 4 MiB
   weakly-ordered bandwidth sweep.
 * ``fig6_stream``    -- weak + strict 1 MiB Figure 6 streams (one 64 B
-  store per line, exactly as the figure issues them) with the WC stream
-  windows off (per-packet) and on, best of
+  store per line, exactly as the figure issues them) in packet mode and
+  in macro mode (WC stream windows), best of
   ``FIG6_STREAM_REPEATS`` each; gated on the windowed run's event count
   (``fig6_stream_events_max``) *and* on its wall-clock payoff over the
   per-packet run (``fig6_stream_payoff_min_x``).
@@ -23,24 +23,23 @@ model's accuracy.  Scenarios:
   run serially and through the ``repro.sim.parallel`` process-pool
   runner (``--jobs``); the ratio is the sweep-level scale-out win.
 * ``mesh_4x4``      -- the ROADMAP scale-out scenario: a 16-blade mesh
-  with eight link-disjoint 512 KiB bulk transfers, run with the
-  adaptive-fidelity bulk-train fast path off (per-packet baseline) and
-  on; gated on the deterministic event count of the adaptive run.
+  with eight link-disjoint 512 KiB bulk transfers, run in packet mode
+  (the baseline) and in macro mode (bulk trains); gated on the
+  deterministic event count of the macro run.
 * ``datapath_churn`` -- a 1 MiB aligned store pushed through the
-  *per-packet* data plane (adaptive fidelity off): every cache line
+  *per-packet* data plane (packet mode): every cache line
   becomes a real pooled packet.  Reports the zero-copy counters
   (``bytes_copied``, ``packets_alloc``/``packets_pooled``) and asserts
   the one-copy and O(1)-allocation invariants; gated on its
   deterministic event count.
 * ``torus_ring``     -- a 64-rank msglib halo shift on torus3d(4,4,4):
-  per-packet vs every fast path on, plus best-of-N stream-window runs
-  with ``flow_fidelity`` off (per-slot stores) and on (slot spans);
-  gated on the macro event count and on the slot-span wall-clock payoff
-  (``torus_ring_payoff_min_x``).
+  packet vs macro mode (slot spans riding stream windows), best-of-N
+  each; gated on the macro event count and on the macro plane's
+  wall-clock payoff (``torus_ring_payoff_min_x``).
 * ``read_chain``     -- 256 KiB of remote memory pulled as 4096
   sequential coherent cacheline reads (the read-heavy counterpart of the
-  fig6 store sweeps), per-packet vs ``flow_fidelity`` ReadFlow macro
-  schedules, best-of-N each; virtual time must match exactly, the macro
+  fig6 store sweeps), packet mode vs macro mode (ReadFlow macro
+  schedules), best-of-N each; virtual time must match exactly, the macro
   event count and the ReadFlow payoff (``read_chain_payoff_min_x``) are
   gated.
 * ``collectives``    -- a 64 KiB allreduce across 16 ranks on
@@ -113,8 +112,8 @@ FIG6_STREAM_BYTES = 1 * MiB
 #: Best-of-N repeats per fidelity setting for the fig6_stream payoff.
 FIG6_STREAM_REPEATS = 3
 
-#: Best-of-N repeats per ``flow_fidelity`` setting for the torus_ring
-#: (slot spans) and read_chain (ReadFlow) payoffs.
+#: Best-of-N repeats per fidelity for the torus_ring (slot spans) and
+#: read_chain (ReadFlow) payoffs.
 FLOW_PAYOFF_REPEATS = 3
 
 #: Bytes each of the eight link-disjoint mesh pairs bulk-stores.
@@ -224,15 +223,15 @@ def bench_fig6_4mib():
     }
 
 
-def _run_fig6_stream(adaptive: bool):
+def _run_fig6_stream(fidelity: str):
     """One weak + strict ``FIG6_STREAM_BYTES`` Figure 6 stream pair on a
-    fresh two-board prototype; ``adaptive`` toggles the WC stream
-    windows (``adaptive_fidelity``)."""
+    fresh two-board prototype under ``fidelity`` (``"macro"``: WC stream
+    windows)."""
     from repro.bench.microbench import run_bandwidth_sweep
     from repro.obs.metrics import flow_counters
 
     sys_ = TCClusterSystem.two_board_prototype()
-    sys_.sim.features.adaptive_fidelity = adaptive
+    sys_.sim.features.fidelity = fidelity
     sys_.boot()
     sim = sys_.sim
     e0, p0 = sim.event_count, sim.heap_pushes
@@ -258,14 +257,8 @@ def bench_fig6_stream():
     Per-packet and windowed runs alternate so both see the same machine
     load; each keeps its best wall clock.  Virtual time must match
     exactly, every line must ride a window and none may demote."""
-    best = {}
-    for _ in range(FIG6_STREAM_REPEATS):
-        for adaptive in (False, True):
-            r = _run_fig6_stream(adaptive)
-            if (adaptive not in best
-                    or r["runtime_s"] < best[adaptive]["runtime_s"]):
-                best[adaptive] = r
-    per_packet, stream = best[False], best[True]
+    per_packet, stream = _best_of_alternating(_run_fig6_stream,
+                                              FIG6_STREAM_REPEATS)
     assert per_packet["elapsed_ns"] == stream["elapsed_ns"], (
         "stream windows changed Figure 6 virtual time: "
         f"{per_packet['elapsed_ns']} vs {stream['elapsed_ns']}")
@@ -287,7 +280,7 @@ def bench_fig6_stream():
 def bench_datapath_churn():
     """One bulk transfer through the full per-packet data plane.
 
-    Adaptive fidelity is disabled so every cache line of a 1 MiB aligned
+    Packet mode makes every cache line of a 1 MiB aligned
     store travels as an individual pooled packet through WC flush, SRQ,
     link and destination commit -- the worst-case object-churn workload
     the zero-copy overhaul targets.  Asserts the two data-plane
@@ -304,7 +297,7 @@ def bench_datapath_churn():
     from repro.obs.metrics import datapath_counters
 
     sys_ = TCClusterSystem.two_board_prototype()
-    sys_.sim.features.adaptive_fidelity = False  # force per-packet plane
+    sys_.sim.features.fidelity = "packet"
     sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim
@@ -450,12 +443,12 @@ def bench_fig6_full_sweep(jobs):
     return out
 
 
-def _run_mesh(adaptive: bool):
+def _run_mesh(fidelity: str):
     from repro.bench.microbench import _RawWindow
     from repro.topology import mesh2d
 
     sys_ = TCClusterSystem(mesh2d(4, 4))
-    sys_.sim.features.adaptive_fidelity = adaptive
+    sys_.sim.features.fidelity = fidelity
     sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim
@@ -497,34 +490,28 @@ def _run_mesh(adaptive: bool):
 
 
 def bench_mesh_4x4():
-    per_packet = _run_mesh(adaptive=False)
-    adaptive = _run_mesh(adaptive=True)
-    assert per_packet["virtual_ns"] == adaptive["virtual_ns"], (
-        "adaptive fidelity changed mesh virtual time: "
-        f"{per_packet['virtual_ns']} vs {adaptive['virtual_ns']}"
+    per_packet = _run_mesh("packet")
+    macro = _run_mesh("macro")
+    assert per_packet["virtual_ns"] == macro["virtual_ns"], (
+        "macro mode changed mesh virtual time: "
+        f"{per_packet['virtual_ns']} vs {macro['virtual_ns']}"
     )
     assert per_packet["train_windows"] == 0
-    assert adaptive["train_windows"] >= 8, "bulk trains never engaged"
+    assert macro["train_windows"] >= 8, "bulk trains never engaged"
     return {
         "pairs": 8,
         "transfer_bytes": MESH_TRANSFER,
         "per_packet": per_packet,
-        "adaptive": adaptive,
-        "speedup_x": round(per_packet["runtime_s"] / adaptive["runtime_s"], 2),
-        "events_x": round(per_packet["events"] / adaptive["events"], 2),
+        "macro": macro,
+        "speedup_x": round(per_packet["runtime_s"] / macro["runtime_s"], 2),
+        "events_x": round(per_packet["events"] / macro["events"], 2),
     }
 
 
-def _run_torus_ring(fidelity: bool, flow=None):
-    """One pass of the 64-node msglib ring exchange.
-
-    ``fidelity`` toggles *both* macro-event layers together
-    (``adaptive_fidelity`` store trains and the flow-level
-    ``flow_fidelity`` slot coalescing): the per-packet baseline runs with
-    every fast path off, the macro run with every fast path on, and the
-    two must agree on virtual time exactly.  ``flow`` overrides
-    ``flow_fidelity`` alone (the slot-span payoff runs the stream
-    windows with and without it).
+def _run_torus_ring(fidelity: str):
+    """One pass of the 64-node msglib ring exchange under ``fidelity``:
+    the packet-mode baseline and the macro run (store trains carrying
+    coalesced slot spans) must agree on virtual time exactly.
     """
     import random
 
@@ -542,8 +529,7 @@ def _run_torus_ring(fidelity: bool, flow=None):
             heap_bytes=64 * KiB,
         ),
     )
-    sys_.sim.features.adaptive_fidelity = fidelity
-    sys_.sim.features.flow_fidelity = fidelity if flow is None else flow
+    sys_.sim.features.fidelity = fidelity
     sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim
@@ -615,15 +601,16 @@ def _train_counters(cl, ranks):
 
 
 def _best_of_alternating(run, repeats):
-    """Best wall clock of ``run(False)`` and ``run(True)``, alternating
-    the two so both see the same machine load."""
+    """Best wall clock of ``run("packet")`` and ``run("macro")``,
+    alternating the two so both see the same machine load."""
     best = {}
     for _ in range(repeats):
-        for on in (False, True):
-            r = run(on)
-            if on not in best or r["runtime_s"] < best[on]["runtime_s"]:
-                best[on] = r
-    return best[False], best[True]
+        for fidelity in ("packet", "macro"):
+            r = run(fidelity)
+            if (fidelity not in best
+                    or r["runtime_s"] < best[fidelity]["runtime_s"]):
+                best[fidelity] = r
+    return best["packet"], best["macro"]
 
 
 def bench_torus_ring():
@@ -632,50 +619,43 @@ def bench_torus_ring():
     Every supernode of a torus3d(4,4,4) runs send-to-+x / recv-from--x /
     compute iterations (a 1-D halo shift), eight 7168-byte messages per
     rank -- 128 ring slots each, the classic TCCluster eager pattern.
-    With fidelity on, the slot writes of each message coalesce into one
-    contiguous span (``flow_fidelity``) which rides the bulk-train
-    schedule (``adaptive_fidelity``); per-packet mode simulates every
-    slot's store, wire and commit individually.  Virtual time must match
-    exactly; the wall-clock ratio is the flow-level fidelity win.  The
-    slot-span payoff (``flow_payoff_x``, gated by
-    ``torus_ring_payoff_min_x``) compares best-of-N stream-window runs
-    with ``flow_fidelity`` off and on.
+    In macro mode the slot writes of each message coalesce into one
+    contiguous span which rides a stream window with commit-span
+    destination accounting; packet mode simulates every slot's store,
+    wire and commit individually.  Virtual time must match exactly; the
+    best-of-N wall-clock ratio (``speedup_x``) is the macro plane's
+    payoff, gated by ``torus_ring_payoff_min_x``.
     """
-    per_packet = _run_torus_ring(fidelity=False)
-    slots, macro = _best_of_alternating(
-        lambda flow: _run_torus_ring(True, flow=flow), FLOW_PAYOFF_REPEATS)
-    for r in (slots, macro):
-        assert per_packet["virtual_ns"] == r["virtual_ns"], (
-            "flow fidelity changed torus-ring virtual time: "
-            f"{per_packet['virtual_ns']} vs {r['virtual_ns']}"
-        )
+    per_packet, macro = _best_of_alternating(_run_torus_ring,
+                                             FLOW_PAYOFF_REPEATS)
+    assert per_packet["virtual_ns"] == macro["virtual_ns"], (
+        "macro mode changed torus-ring virtual time: "
+        f"{per_packet['virtual_ns']} vs {macro['virtual_ns']}"
+    )
     assert per_packet["train"]["windows"] == 0
     assert per_packet["flow"]["slot_windows"] == 0
     assert macro["flow"]["slot_windows"] >= 64 * TORUS_RING_MSGS // 2, \
         "slot spans never engaged"
     assert macro["train"]["windows"] >= 64, "span trains never engaged"
-    assert slots["flow"]["slot_windows"] == 0
     return {
         "supernodes": 64,
         "msgs_per_rank": TORUS_RING_MSGS,
         "msg_bytes": TORUS_RING_MSG_BYTES,
         "repeats": FLOW_PAYOFF_REPEATS,
         "per_packet": per_packet,
-        "per_slot": slots,
         "macro": macro,
         "speedup_x": round(per_packet["runtime_s"] / macro["runtime_s"], 2),
         "events_x": round(per_packet["events"] / macro["events"], 2),
-        "flow_payoff_x": round(slots["runtime_s"] / macro["runtime_s"], 2),
     }
 
 
-def _run_read_chain(fidelity: bool):
+def _run_read_chain(fidelity: str):
     """One pass of the remote-read chain on the single-board prototype.
 
     node0's core pulls ``READ_CHAIN_BYTES`` of node1's DRAM through the
     coherent fabric link -- 4096 sequential cacheline read/response round
-    trips, the read-heavy counterpart of the fig6 store sweeps.  With
-    ``flow_fidelity`` on, each read promotes to a :class:`ReadFlow`
+    trips, the read-heavy counterpart of the fig6 store sweeps.  In macro
+    mode each read promotes to a :class:`ReadFlow`
     macro schedule (request, remote issue, response and completion as
     three calendar entries plus the DRAM commit); per-packet mode walks
     every request and response through queue, pump, wire and crossbar.
@@ -685,8 +665,7 @@ def _run_read_chain(fidelity: bool):
 
     proto = build_single_board_prototype()
     sim = proto.sim
-    sim.features.adaptive_fidelity = fidelity
-    sim.features.flow_fidelity = fidelity
+    sim.features.fidelity = fidelity
     proto.boot()
     node0, node1 = proto.node0, proto.node1
     data = bytes(range(256)) * (READ_CHAIN_BYTES // 256)
@@ -928,10 +907,9 @@ def main(argv=None) -> int:
         "fig6_stream_x": scenarios["fig6_stream"]["speedup_x"],
         "fig6_sweep_parallel_x": scenarios["fig6_full_sweep"].get(
             "speedup_x", "skipped"),
-        "mesh_adaptive_fidelity_x": scenarios["mesh_4x4"]["speedup_x"],
-        "torus_ring_flow_fidelity_x": scenarios["torus_ring"]["speedup_x"],
-        "torus_ring_slot_span_x": scenarios["torus_ring"]["flow_payoff_x"],
-        "read_chain_flow_fidelity_x": scenarios["read_chain"]["speedup_x"],
+        "mesh_macro_x": scenarios["mesh_4x4"]["speedup_x"],
+        "torus_ring_macro_x": scenarios["torus_ring"]["speedup_x"],
+        "read_chain_macro_x": scenarios["read_chain"]["speedup_x"],
         "boot_image_phase_x": {
             k: v["boot_phase_x"]
             for k, v in scenarios["boot_amortization"].items()
@@ -961,8 +939,8 @@ def main(argv=None) -> int:
         gates = [
             ("canonical_events_max", canon["events"], "canonical trace"),
             ("mesh_events_max",
-             scenarios["mesh_4x4"]["adaptive"]["events"],
-             "mesh_4x4 adaptive scenario"),
+             scenarios["mesh_4x4"]["macro"]["events"],
+             "mesh_4x4 macro scenario"),
             ("datapath_events_max",
              scenarios["datapath_churn"]["events"],
              "datapath churn scenario"),
@@ -971,10 +949,10 @@ def main(argv=None) -> int:
              "torus3d(4,4,4) halo scenario"),
             ("torus_ring_events_max",
              scenarios["torus_ring"]["macro"]["events"],
-             "torus-ring flow-fidelity scenario"),
+             "torus-ring macro scenario"),
             ("read_chain_events_max",
              scenarios["read_chain"]["macro"]["events"],
-             "read-chain flow-fidelity scenario"),
+             "read-chain macro scenario"),
             ("collectives_events_max",
              scenarios["collectives"]["events"],
              "collectives ring-allreduce scenario"),
@@ -1005,9 +983,8 @@ def main(argv=None) -> int:
         payoffs = [
             ("fig6_stream_payoff_min_x", scenarios["fig6_stream"]["speedup_x"],
              "fig6 stream windows vs per-packet"),
-            ("torus_ring_payoff_min_x",
-             scenarios["torus_ring"]["flow_payoff_x"],
-             "torus-ring slot spans vs per-slot stores"),
+            ("torus_ring_payoff_min_x", scenarios["torus_ring"]["speedup_x"],
+             "torus-ring macro plane vs per-packet"),
             ("read_chain_payoff_min_x", scenarios["read_chain"]["speedup_x"],
              "read-chain ReadFlow vs per-packet reads"),
         ]

@@ -313,7 +313,6 @@ def _collective_cfg(size: int):
 
 def collective_point(op: str, algorithm: str, size: int,
                      shape: Tuple[int, int] = (8, 8),
-                     flow_fidelity: bool = True,
                      use_image: bool = False) -> CollectivePoint:
     """One forced-algorithm collective on a fresh booted 2D-torus cluster.
 
@@ -339,7 +338,6 @@ def collective_point(op: str, algorithm: str, size: int,
         sys_ = TCClusterSystem(torus2d(*shape), msg_cfg=cfg)
         sys_.boot()
     sim = sys_.sim
-    sim.features.flow_fidelity = flow_fidelity
     cl = sys_.cluster
     comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
     elapsed, events = _drive_collective(sim, comms, op, algorithm, size)
@@ -486,7 +484,6 @@ def run_torus_sweep_parallel(
 def run_collectives_sweep_parallel(
     specs: Sequence[Tuple[str, str, int]],
     shape: Tuple[int, int] = (8, 8),
-    flow_fidelity: bool = True,
     baselines: Sequence[str] = (),
     nic_nranks: int = 64,
     jobs: Optional[Any] = None,
@@ -509,8 +506,7 @@ def run_collectives_sweep_parallel(
             key=f"coll:{op}:{algo}:{size}",
             fn=collective_point,
             args=(op, algo, size),
-            kwargs={"shape": tuple(shape), "flow_fidelity": flow_fidelity,
-                    "use_image": use_image},
+            kwargs={"shape": tuple(shape), "use_image": use_image},
         )
         for op, algo, size in specs
     ]

@@ -33,7 +33,7 @@ this to account):
   to the cold-boot continuation.
 
 Images are keyed by :func:`boot_signature` -- topology + construction
-parameters + :class:`~repro.sim.engine.SimFeatures` -- and cached
+parameters + the ``SimFeatures.fidelity`` plane -- and cached
 per-process by :func:`image_for`; any parameter change is a different
 key (invalidation by construction).  Images are plain picklable data, so
 the parallel sweep runner builds them once in the parent and ships them
@@ -43,7 +43,7 @@ to pool workers (:func:`seed_image_cache`).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..kernel import Kernel
 from ..kernel.driver import TccDriver
@@ -51,7 +51,7 @@ from ..msglib import MsgConfig
 from ..obs.metrics import (boot_image_counters, fault_counters,
                            flow_counters)
 from ..opteron.chip import InterruptRecord
-from ..sim import Simulator
+from ..sim import SimFeatures, Simulator
 from ..util.calibration import TimingModel, DEFAULT_TIMING
 from ..util.units import MiB
 from .system import TCCluster
@@ -73,27 +73,21 @@ class SnapshotError(RuntimeError):
     """Capture precondition violated or image/cluster mismatch."""
 
 
-def _features_tuple(features) -> Tuple[bool, bool, bool, bool]:
-    return (features.poll_parking, features.burst_serialization,
-            features.adaptive_fidelity, features.flow_fidelity)
-
-
 def boot_signature(topology, nodes_per_supernode: int, memory_bytes: int,
                    timing: TimingModel, msg_cfg: MsgConfig, link_ber: float,
-                   skew_tolerance_ns: float,
-                   features: Tuple[bool, bool, bool, bool]) -> tuple:
+                   skew_tolerance_ns: float, fidelity: str) -> tuple:
     """Hashable identity of one bootable configuration.
 
     Everything that shapes the post-boot state is in the key; changing
-    any axis (a DSE sweep's link width, a different ring-slot depth, a
-    feature flag) produces a distinct signature and therefore a fresh
+    any axis (a DSE sweep's link width, a different ring-slot depth, the
+    fidelity plane) produces a distinct signature and therefore a fresh
     boot -- stale-image reuse is impossible by construction.
     """
     return (
         topology.kind, topology.shape, topology.wrap,
         topology.num_supernodes, tuple(topology.edges),
         nodes_per_supernode, memory_bytes, timing, msg_cfg,
-        link_ber, skew_tolerance_ns, features,
+        link_ber, skew_tolerance_ns, fidelity,
     )
 
 
@@ -108,7 +102,7 @@ class BootImage:
     __slots__ = (
         "signature", "topology", "nodes_per_supernode", "memory_bytes",
         "timing", "msg_cfg", "layout", "amap", "link_ber",
-        "skew_tolerance_ns", "features", "clock", "chips", "links",
+        "skew_tolerance_ns", "fidelity", "clock", "chips", "links",
         "boards", "pool", "fault_counts", "flow_counts",
     )
 
@@ -249,7 +243,7 @@ def capture_image(cluster: TCCluster) -> BootImage:
             cluster.topology, len(cluster.boards[0].chips),
             cluster.ranks[0].chip.memory.size, cluster.timing,
             cluster.msg_cfg, tcc0._ber if tcc0 is not None else 0.0,
-            skew if skew else 100.0, _features_tuple(sim.features),
+            skew if skew else 100.0, sim.features.fidelity,
         ),
         topology=cluster.topology,
         nodes_per_supernode=len(cluster.boards[0].chips),
@@ -260,7 +254,7 @@ def capture_image(cluster: TCCluster) -> BootImage:
         amap=cluster.amap,
         link_ber=tcc0._ber if tcc0 is not None else 0.0,
         skew_tolerance_ns=skew if skew else 100.0,
-        features=_features_tuple(sim.features),
+        fidelity=sim.features.fidelity,
         clock=(sim._now, sim._seq, sim._event_count, sim._push_count),
         chips=[_capture_chip(r.chip) for r in cluster.ranks],
         links=[_capture_link(cluster, l) for l in cluster._all_links()],
@@ -370,9 +364,7 @@ def restore_image(image: BootImage,
     deterministic, gated by the wallclock baseline).
     """
     sim = sim or Simulator()
-    (sim.features.poll_parking, sim.features.burst_serialization,
-     sim.features.adaptive_fidelity,
-     sim.features.flow_fidelity) = image.features
+    sim.features.fidelity = image.fidelity
 
     cluster = TCCluster(
         image.topology,
@@ -478,16 +470,15 @@ def image_for(topology, *, nodes_per_supernode: int = 1,
               timing: TimingModel = DEFAULT_TIMING,
               msg_cfg: Optional[MsgConfig] = None,
               link_ber: float = 0.0, skew_tolerance_ns: float = 100.0,
-              features: Optional[Tuple[bool, bool, bool, bool]] = None) \
-        -> BootImage:
+              fidelity: Optional[str] = None) -> BootImage:
     """The cached boot image of one signature (built on first use).
 
     The cache is per-process; pool workers inherit the parent's images
     through :func:`seed_image_cache` so each distinct signature boots
     exactly once per sweep, not once per point.
     """
-    if features is None:
-        features = _features_tuple(Simulator().features)
+    if fidelity is None:
+        fidelity = SimFeatures().fidelity
     cfg = msg_cfg or MsgConfig()
     # Construction may auto-grow nodes_per_supernode to fit the port
     # plan; key on the grown value so pre/post-growth callers share.
@@ -495,14 +486,13 @@ def image_for(topology, *, nodes_per_supernode: int = 1,
                     for ep in (e.a, e.b)), default=0)
     grown = max(nodes_per_supernode, max_node + 1)
     key = boot_signature(topology, grown, memory_bytes, timing, cfg,
-                         link_ber, skew_tolerance_ns, features)
+                         link_ber, skew_tolerance_ns, fidelity)
     img = _IMAGE_CACHE.get(key)
     if img is not None:
         boot_image_counters().cache_hits += 1
         return img
     sim = Simulator()
-    (sim.features.poll_parking, sim.features.burst_serialization,
-     sim.features.adaptive_fidelity, sim.features.flow_fidelity) = features
+    sim.features.fidelity = fidelity
     cluster = TCCluster(
         topology, memory_bytes=memory_bytes,
         nodes_per_supernode=nodes_per_supernode, timing=timing,

@@ -185,7 +185,7 @@ class _Direction:
         no other VC with traffic queued or waiting for the serializer, and
         tracing off (burst tx records would append out of time order)."""
         link = self.link
-        if not link.sim.features.burst_serialization or link._ber > 0:
+        if link._ber > 0:
             return False
         if link.tracer.enabled or self.phy._waiters:
             return False

@@ -274,7 +274,7 @@ class Endpoint:
         # the per-slot ring-occupancy samples carry per-slot timestamps
         # that coalescing would collapse onto one instant.
         spans = (mode == "weak" and not self._m.enabled
-                 and self.sim.features.flow_fidelity)
+                 and self.sim.features.macro)
         while remaining > 0:
             if spans and remaining > SLOT_PAYLOAD:
                 # Refresh the window first when it is exhausted -- the
@@ -690,16 +690,16 @@ class Endpoint:
 
         ``deadline`` (absolute sim time) bounds the spin with a
         :class:`TransportError`; a deadline-guarded poll never parks, so
-        its timing stays on the plain poll grid regardless of
-        ``SimFeatures.poll_parking``.
+        its timing stays on the plain poll grid.
 
-        With ``SimFeatures.poll_parking`` the *idle* part of the spin is
-        event-driven: instead of burning one calendar entry per
-        ``poll_iteration_ns``, the process parks on a memory doorbell rung
-        by the controller when a write commits into the rx ring, then
-        re-joins the exact poll grid the busy loop would have followed
-        (see DESIGN.md, "Performance model equivalence").  Sampling times
-        and ``stats.polls`` are unchanged; idle-spin events drop to zero.
+        Wherever the ring can park (:meth:`_parking_doorbell`) the *idle*
+        part of the spin is event-driven: instead of burning one calendar
+        entry per ``poll_iteration_ns``, the process parks on a memory
+        doorbell rung by the controller when a write commits into the rx
+        ring, then re-joins the exact poll grid the busy loop would have
+        followed (see DESIGN.md, "Performance model equivalence").
+        Sampling times and ``stats.polls`` are unchanged; idle-spin events
+        drop to zero.  Rings that cannot park busy-poll.
         """
         addr = self._slot_rx_addr(want_seq)
         t = self.proc.core.chip.timing
@@ -788,8 +788,6 @@ class Endpoint:
         this chip's memory controller and do polls bypass the caches.  The
         verdict is cached per chip and re-evaluated after ``bind_to``.
         """
-        if not self.sim.features.poll_parking:
-            return None
         chip = self.proc.core.chip
         if self._park_chip is chip:
             return self._park_db

@@ -479,7 +479,7 @@ class Northbridge:
         tag = self.tags.allocate(dst_node, context=response)
         pkt = make_read(addr, length // 4, srctag=tag, unitid=self.nodeid, coherent=True)
         port = self._fabric_port_for(dst_node)
-        if self.sim.features.flow_fidelity:
+        if self.sim.features.macro:
             from ..sim.flows import ReadFlow
 
             flow = ReadFlow.plan(self, port, pkt, addr, length, response)
@@ -777,7 +777,7 @@ class Northbridge:
                 if out_port == port:
                     counters_inc("routing_loops")
                     continue
-                if (self.sim.features.flow_fidelity
+                if (self.sim.features.macro
                         and pkt.cmd is Command.WRITE_POSTED
                         and pkt.mask is None
                         and not (coh0

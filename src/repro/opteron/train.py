@@ -26,12 +26,13 @@ same window fed ``K`` lines at once.  While the window is open:
   occurred, and the storing core spends one calendar entry per store
   (its resume at the acceptance instant; a multi-line store first
   relays at its first line's fill end and its last line's fill start);
-* the receiver side stays *real*: one calendar callback per packet at
-  the exact per-packet commit instant performs the destination's
-  ``memctrl.write_posted`` and ``rx_writes`` accounting (or, with
-  ``flow_fidelity``, a :class:`~repro.sim.flows.CommitSpan` does the
-  same arithmetically), so destination memory timing, receiver polling
-  and doorbells are bit-identical to per-packet mode.
+* the receiver side is a :class:`~repro.sim.flows.CommitSpan`: it
+  folds each line's arrival into the destination memory controller's
+  port arithmetic and applies its commit, ``rx_writes`` accounting and
+  doorbell rings at the exact per-packet instants, so destination
+  memory timing, receiver polling and doorbells are bit-identical to
+  per-packet mode.  A traced destination controller keeps the store
+  per-packet (its trace records each commit entry).
 
 Per-line state is bounded by the pipeline, not the stream: each append
 first applies the deferred effects due by ``now`` and retires the prefix
@@ -47,9 +48,10 @@ store -- calls :meth:`BulkTrain.abort`, which reconstructs the exact
 per-packet state at the abort instant ``T`` (queue contents, blocked
 putters, the dispatcher's in-flight packet, a mid-serialization phy
 hold, the receiver's busy conversion, the core mid-fill or blocked, or
-idle between stores) and falls back to
-per-packet simulation for the remainder.  The reconstruction is exact:
-every timestamp in the recurrence is a dyadic rational under the default
+idle between stores) and falls back to per-packet simulation for the
+remainder; packets that left before the cut still commit from the
+commit span, truncated there.  The reconstruction is exact: every
+timestamp in the recurrence is a dyadic rational under the default
 timing model, so float arithmetic reproduces the per-packet event times
 bit-for-bit (non-dyadic timing would only be ulp-close).
 
@@ -131,9 +133,7 @@ def plan_train(core: "CpuCore", addr: int,
     per-packet.
     """
     chip = core.chip
-    sim = core.sim
-    feats = sim.features
-    if not (feats.adaptive_fidelity and feats.burst_serialization):
+    if not core.sim.features.macro:
         return None
     nb = chip.nb
     if nb._train is not None or not nb._started:
@@ -175,8 +175,8 @@ def plan_train(core: "CpuCore", addr: int,
     if dest_chip is None:
         return None
     dest_nb = dest_chip.nb
-    if not dest_nb._started:
-        return None
+    if not dest_nb._started or dest_chip.memctrl.tracer.enabled:
+        return None  # a traced controller records every commit entry
     proto = make_posted_write(addr, bytes(CACHELINE), unitid=nb.nodeid,
                               coherent=False)
     ser = link.serialization_ns(proto)
@@ -278,12 +278,10 @@ class BulkTrain:
         self._pump_wake: Optional[Event] = None
         self._rx_getter: Optional[Event] = None
         self._rx_seq = None
-        # receiver side: per-line commit chain, or a flow-level span
-        self._use_span = (sim.features.flow_fidelity
-                          and not self.dest_mc.tracer.enabled)
-        self._span: Optional[CommitSpan] = None
-        self._chain_idx = 0
-        self._chain_seq = None
+        # receiver side: the destination commit schedule is one
+        # arithmetic span on the controller instead of two calendar
+        # entries per line (see repro.sim.flows)
+        self._span = CommitSpan(sim, self.dest_mc, self.dest_nb, CACHELINE, 0)
         # deferred-effect cursors (global line counts)
         self._fills_applied = 0
         self._mmio_applied = 0
@@ -446,15 +444,11 @@ class BulkTrain:
         if self.metrics_on:
             # The next depth sample looks back one pop and scans accepts.
             r = min(r, self._depth_applied - 1, self._ja)
-        span = self._span
-        if span is not None:
-            # The retire batch is the commit span's flush point too (only
-            # commits strictly before now: one at this instant may still
-            # trail a same-instant read).
-            span.flush_until(now, -_INF)
-            r = min(r, span._flushed)
-        else:
-            r = min(r, self._chain_idx)
+        # The retire batch is the commit span's flush point too (only
+        # commits strictly before now: one at this instant may still trail
+        # a same-instant read).
+        self._span.flush_until(now, -_INF)
+        r = min(r, self._span._flushed)
         n = r - b
         if n >= _RETIRE_BATCH:
             for lst in (self.fs, self.fill_done, self.accept, self.pop,
@@ -465,7 +459,7 @@ class BulkTrain:
         self._retain_check = self.K - b + _RETIRE_BATCH
 
     # ------------------------------------------------------------------
-    # Appending / receiver chain / completion
+    # Appending / completion
     # ------------------------------------------------------------------
     def admits(self, core, addr: int, nlines: int) -> bool:
         """True when a store of ``nlines`` full lines at ``addr`` by
@@ -517,23 +511,11 @@ class BulkTrain:
         else:
             self._arm_core(self.fill_done[first - b], self._relay, first)
         off = self._mcw_off
-        if self._use_span:
-            # Flow-level fidelity: the destination commit schedule is one
-            # arithmetic span on the controller instead of two calendar
-            # entries per line (see repro.sim.flows).
-            span = self._span
-            if span is None:
-                span = self._span = CommitSpan(
-                    sim, self.dest_mc, self.dest_nb, CACHELINE, first)
-            span.append([s + off for s in ss[first - b:]],
-                        self._offs[first - b:], self._srcs[first - b:])
-            if self._finalize_seq is None:
-                self._finalize_seq = sim._push_cancellable(
-                    self.t_final, self._finalize, None)
-        elif self._chain_seq is None:
-            self._chain_idx = first
-            self._chain_seq = sim._push_cancellable(
-                ss[first - b] + off, self._commit, (first,))
+        self._span.append([s + off for s in ss[first - b:]],
+                          self._offs[first - b:], self._srcs[first - b:])
+        if self._finalize_seq is None:
+            self._finalize_seq = sim._push_cancellable(
+                self.t_final, self._finalize, None)
         try:
             yield self.wake
         except Interrupt:
@@ -569,27 +551,6 @@ class BulkTrain:
         mv, origin = self._srcs[li]
         k = o - origin
         return mv[k:k + CACHELINE]
-
-    def _commit(self, i: int) -> None:
-        """Receiver-side commit of packet ``i`` at its exact per-packet
-        instant: the real destination memory write plus rx accounting.
-        One live calendar entry walks the window; an append restarts it
-        when it ran dry."""
-        self._chain_seq = None
-        if i >= self.cut:
-            return
-        li = i - self._base
-        self.dest_nb.counters.inc("rx_writes")
-        self.dest_mc.write_posted(self._offs[li], self._line_data(li))
-        j = i + 1
-        self._chain_idx = j
-        if j < self.cut:
-            self._chain_seq = self.sim._push_cancellable(
-                self.ss[li + 1] + self._mcw_off, self._commit, (j,))
-        elif not self.done:
-            # The chain ran dry at the last line's commit: the window has
-            # drained (a later append would restart the chain).
-            self._close()
 
     def _arm_core(self, at: float, fn, slot: Optional[int]) -> None:
         self._pend_at = at
@@ -627,8 +588,7 @@ class BulkTrain:
             self._resuming = False
 
     def _finalize(self, _=None) -> None:
-        """Close a commit-span window at its last receive-side commit (a
-        chain window closes from that commit's own entry)."""
+        """Close the window at its last receive-side commit."""
         self._finalize_seq = None
         if self.done:
             return
@@ -721,24 +681,12 @@ class BulkTrain:
                                                    nser)
         self.cut = b + nser
         # Revoke the speculative future (the core's completion entry is
-        # settled below), and the commit chain's pending hop if it points
-        # past the cut.
+        # settled below).  The packets that left before the cut still
+        # commit from the span, which now ends there.
         if self._finalize_seq is not None:
             sim._cancel(self._finalize_seq)
             self._finalize_seq = None
-        if self._chain_seq is not None and self._chain_idx >= self.cut:
-            sim._cancel(self._chain_seq)
-            self._chain_seq = None
-        if self._span is not None:
-            # Flow-level commit span: flushed commits stay, in-flight ones
-            # become real calendar entries, and the not-yet-arrived tail
-            # (strictly before the cut) re-arms the classic per-line chain.
-            j0 = self._span.abort(T)
-            self._span = None
-            if j0 < self.cut:
-                self._chain_idx = j0
-                self._chain_seq = sim._push_cancellable(
-                    ss[j0 - b] + self._mcw_off, self._commit, (j0,))
+        self._span.truncate(self.cut)
         self._apply(b + f, b + nput, b + nser, b + npop)
         self.resume_fills = b + f
 
@@ -894,9 +842,7 @@ class BulkTrain:
         self.cut -= 1
         i = self.cut
         li = i - self._base
-        if self._chain_seq is not None and self._chain_idx >= i:
-            sim._cancel(self._chain_seq)
-            self._chain_seq = None
+        self._span.truncate(i)
         if self._rx_seq is not None:
             # The receiver only ever sees the packets before this one.
             sim._cancel(self._rx_seq)

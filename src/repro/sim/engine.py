@@ -49,34 +49,42 @@ __all__ = [
 ]
 
 
+#: The two execution planes a simulation can run on.
+FIDELITIES = ("packet", "macro")
+
+
 @dataclass
 class SimFeatures:
-    """Runtime switches for the wall-clock fast paths.
+    """The simulation's execution plane (``fidelity``).
 
-    All of them are virtual-time-invariant transformations (see
-    DESIGN.md, "Performance model equivalence"); they exist as flags so
-    the wall-clock benchmark and the equivalence tests can run the same
-    workload in legacy and fast mode and compare.
+    ``"macro"`` (the default) runs a core's full-line WC stores into a
+    quiescent link as growing stream windows with commit-span
+    destination accounting (:mod:`repro.opteron.train`), coalesces msglib
+    ring slots into span stores, and collapses same-route remote reads
+    and multi-hop forwarding into flows (:mod:`repro.sim.flows`); each
+    demotes to per-packet mode the instant anything else touches its
+    queues.  ``"packet"`` simulates every packet: it is the demotion
+    target and the reference every equivalence oracle compares with.
+
+    The two planes differ in wall-clock cost, never in virtual time (see
+    DESIGN.md, "Performance model equivalence").  Poll parking and burst
+    serialization are not part of the setting: both run in either plane,
+    falling back to busy polling and per-packet serialization where they
+    cannot engage.
     """
 
-    #: Park idle polling receivers on a memory doorbell instead of
-    #: burning one calendar entry per poll iteration.
-    poll_parking: bool = True
-    #: Serialize back-to-back same-VC link packets as one bulk occupancy
-    #: event with arithmetically computed delivery times.
-    burst_serialization: bool = True
-    #: Run a core's full-line WC stores into a quiescent link as one
-    #: growing stream window whose packet train (fill/dispatch/serialize
-    #: pipeline) is closed-form arithmetic, demoting back to per-packet
-    #: mode the instant anything else touches the involved queues (see
-    #: repro.opteron.train).
-    adaptive_fidelity: bool = True
-    #: Flow-level macro events for the remaining traffic classes: msglib
-    #: ring slot writes, destination commit spans, same-route remote
-    #: read/response chains and multi-hop forwarding (see
-    #: repro.sim.flows).  Changes wall-clock cost, never virtual time; off
-    #: is the per-packet reference the equivalence oracles compare with.
-    flow_fidelity: bool = True
+    fidelity: str = "macro"
+
+    def __setattr__(self, name, value):
+        if name == "fidelity" and value not in FIDELITIES:
+            raise ValueError(
+                f"fidelity must be one of {FIDELITIES}, not {value!r}")
+        object.__setattr__(self, name, value)
+
+    @property
+    def macro(self) -> bool:
+        """True when the macro plane may promote."""
+        return self.fidelity == "macro"
 
 
 class SimulationError(RuntimeError):

@@ -38,8 +38,8 @@ deterministic; any foreign interaction -- a send on an owned link
 direction, a fault injection, a BER/rate change, a link state change --
 must *demote* the flow first, reconstructing bit-identical per-packet
 state at the demotion instant.  Flows change wall-clock cost, never
-virtual time; ``SimFeatures.flow_fidelity`` (default on) gates them all,
-and turning it off gives the per-packet reference.
+virtual time; they engage with ``SimFeatures.fidelity = "macro"`` (the
+default), and ``"packet"`` gives the per-packet reference.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ def plan_eager_span(seq0: int, nslots: int, free_slots: int,
 # ---------------------------------------------------------------------------
 
 class CommitSpan:
-    """Arithmetic replacement for a train's per-line destination commits.
+    """Arithmetic destination commits of a train's lines.
 
-    A clean :class:`~repro.opteron.train.BulkTrain` spends two calendar
-    entries per line on the destination side: the chain entry that calls
-    ``write_posted`` at the exact per-packet instant, and the memory
-    controller's own commit entry.  A ``CommitSpan`` eliminates both.  The
+    Per packet, each line costs two calendar entries on the destination
+    side: the receive loop's ``write_posted`` at the arrival instant and
+    the memory controller's own commit entry.  A ``CommitSpan`` replaces
+    both for every line of a :class:`~repro.opteron.train.BulkTrain`.  The
     train appends each store's arrival schedule to it (:meth:`append`; a
     stream window grows store by store), and the span keeps three
     lazily-advanced cursors over global line numbers:
@@ -136,8 +136,8 @@ class CommitSpan:
     claim times, memory contents at read-commit instants, doorbell
     counts and wake times, ``writes``/``rx_writes`` totals at any
     quiescent point -- matches the per-packet run.  On demotion
-    (:meth:`abort`) in-flight commits become real calendar entries and
-    the not-yet-arrived tail is handed back to the train's chain.
+    (:meth:`truncate`) the span keeps the lines whose packets left before
+    the cut and drops the rest, which the per-packet plane then carries.
     """
 
     __slots__ = ("sim", "mc", "dest_nb", "offs", "srcs", "times", "K",
@@ -208,6 +208,32 @@ class CommitSpan:
         ``_commit_write`` entry), re-armed while foreign port occupancy
         pushes that commit later."""
         self._arm_finalize()
+
+    def truncate(self, n: int) -> None:
+        """The owner demoted: only lines before global line ``n`` (their
+        packets left before the cut) are still its to commit.  Drop the
+        rest and seal; a span with nothing left to commit detaches.
+
+        No dropped line has arrived yet, so none is in the port
+        arithmetic; a ring entry armed for one is revoked.
+        """
+        if n < self.K:
+            k = n - self._base
+            del self.times[k:], self.offs[k:], self.srcs[k:]
+            self.K = n
+            for _db, idxs in self._recs:
+                del idxs[bisect_left(idxs, n):]
+            for db, (seq, target, _p) in list(self._entries.items()):
+                if target >= n:
+                    self.sim._cancel(seq)
+                    del self._entries[db]
+        if self._fin_seq is not None:
+            self.sim._cancel(self._fin_seq)
+            self._fin_seq = None
+        if self._flushed >= self.K:
+            self._close()
+        else:
+            self.seal()
 
     def _prune(self) -> None:
         n = self._flushed - self._base
@@ -392,14 +418,18 @@ class CommitSpan:
         self._fin_seq = None
         self.flush_until(self.sim._now, self._fin_pushed)
         if self._flushed >= self.K:
-            # A ring entry armed for this same instant would be cancelled
-            # by the detach below: deliver its wake here instead.
-            for db in list(self._entries):
-                self.sim._cancel(self._entries[db][0])
-                self._ring_fire(db)
-            self.detach()
+            self._close()
         else:
             self._arm_finalize()
+
+    def _close(self) -> None:
+        """Every commit is flushed: detach.  A ring entry still armed can
+        only be due at this very instant, and the detach would cancel it,
+        so deliver its wake here instead."""
+        for db in list(self._entries):
+            self.sim._cancel(self._entries[db][0])
+            self._ring_fire(db)
+        self.detach()
 
     def _arm_finalize(self) -> None:
         sim = self.sim
@@ -421,29 +451,6 @@ class CommitSpan:
         for db, _ in self._recs:
             db._providers.remove(self)
         self.mc._spans.remove(self)
-
-    def abort(self, T: float) -> int:
-        """Demote: make the per-packet state real at instant ``T``.
-
-        Commits already flushed stay; arrivals claimed but not committed
-        become the real ``_commit_write`` calendar entries the per-packet
-        run would have in flight; everything after returns to the caller
-        (the first line number whose ``write_posted`` call has not
-        happened -- the train re-arms its per-line chain from there).
-        """
-        self.sync_to(T)
-        self.flush_until(T)
-        mc = self.mc
-        base, line = self._base, self.line
-        for i in range(self._flushed - base, self._applied - base):
-            o = self.offs[i]
-            mv, origin = self.srcs[i]
-            k = o - origin
-            self.sim._push(self._c[i], mc._commit_write,
-                           (o, mv[k:k + line], None, None))
-        first_uncalled = self._applied
-        self.detach()
-        return first_uncalled
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ The property is bit-exactness, checked two ways:
   event and push counts (restore rebases the clock to the capture
   point, so even the *absolute* counters line up).
 
-Parameterized over mesh2d/torus2d/torus3d shapes and the SimFeatures
-fast-path switches; a chaos-compatibility case proves a fault plan
+Parameterized over mesh2d/torus2d/torus3d shapes and both fidelity
+planes; a chaos-compatibility case proves a fault plan
 armed after restore fires and recovers identically to one armed after
 a cold boot.
 """
@@ -34,7 +34,7 @@ from repro.util.calibration import DEFAULT_TIMING
 from repro.util.units import KiB
 
 
-def _system(topo_name, features):
+def _system(topo_name, fidelity):
     topo, nps = {
         "proto2": (chain(2, node=1, left_port=2, right_port=2), 2),
         "mesh3x3": (mesh2d(3, 3), 1),
@@ -42,8 +42,7 @@ def _system(topo_name, features):
         "torus222": (torus3d(2, 2, 2), 1),
     }[topo_name]
     sim = Simulator()
-    for name, value in features.items():
-        setattr(sim.features, name, value)
+    sim.features.fidelity = fidelity
     return TCCluster(topo, nodes_per_supernode=nps, sim=sim)
 
 
@@ -94,18 +93,15 @@ def _workload(cl, nbytes=32 * KiB):
     return done, cl.sim.event_count, cl.sim._push_count, cl.sim.now
 
 
-FEATURE_COMBOS = {
-    "default": {},
-    "legacy": {"poll_parking": False, "burst_serialization": False,
-               "adaptive_fidelity": False, "flow_fidelity": False},
-    "no-flow": {"flow_fidelity": False},
-}
+#: The fidelity plane of each configuration: the shipped default and the
+#: per-packet plane.
+FIDELITY_OF = {"default": "macro", "legacy": "packet"}
 
 
-@pytest.mark.parametrize("features", sorted(FEATURE_COMBOS))
+@pytest.mark.parametrize("features", sorted(FIDELITY_OF))
 @pytest.mark.parametrize("topo", ["mesh3x3", "torus4x4", "torus222"])
 def test_restore_is_bit_exact(topo, features):
-    cold = _system(topo, FEATURE_COMBOS[features]).boot()
+    cold = _system(topo, FIDELITY_OF[features]).boot()
     cold.sim.run()
     image = capture_image(cold)
     restored = restore_image(image)
@@ -186,6 +182,26 @@ def test_image_cache_and_counters():
 
     restore_image(img1)
     assert ctr.restored == r0 + 1
+    clear_image_cache()
+
+
+def test_image_keyed_on_fidelity():
+    """A packet-mode image is never restored into a macro run: the
+    fidelity string is part of the signature, and a restore adopts the
+    image's plane."""
+    clear_image_cache()
+    macro = image_for(mesh2d(2, 2))
+    packet = image_for(mesh2d(2, 2), fidelity="packet")
+    assert packet is not macro
+    assert macro.fidelity == "macro" and packet.fidelity == "packet"
+    assert macro.signature[-1] == "macro"
+    assert packet.signature[-1] == "packet"
+    assert macro.signature[:-1] == packet.signature[:-1]
+    assert image_for(mesh2d(2, 2), fidelity="macro") is macro
+    assert restore_image(packet).sim.features.fidelity == "packet"
+    assert restore_image(macro).sim.features.fidelity == "macro"
+    with pytest.raises(ValueError, match="fidelity"):
+        image_for(mesh2d(2, 2), fidelity="flow")
     clear_image_cache()
 
 

@@ -53,8 +53,8 @@ class ChaosOutcome:
     faults: dict = field(default_factory=dict)
     end_ns: float = 0.0
     bytes_received: int = 0
-    #: Macro windows opened by the flow-fidelity fast paths.  Deliberately
-    #: NOT part of the fingerprint: fidelity on/off must replay to the same
+    #: Macro windows opened by the macro plane.  Deliberately NOT part of
+    #: the fingerprint: packet and macro mode must replay to the same
     #: outcome while this counter (alone) differs between the two modes.
     macro_windows: int = 0
 
@@ -67,19 +67,18 @@ class ChaosOutcome:
 
 def run_chaos(topo_factory, plan: FaultPlan,
               n_msgs: int = N_MSGS, endpoints=None,
-              msg_bytes: int = MSG_BYTES, fidelity: bool = False,
+              msg_bytes: int = MSG_BYTES, fidelity: str = "packet",
               cfg_extra: Optional[dict] = None) -> ChaosOutcome:
     """``endpoints`` maps the booted cluster to the (tx, rx) ranks; the
     default keeps the historical rank 0 -> rank 1 workload.  Grid tests
     pass ``cl.rank_of(...)`` pairs so multi-chip boards (torus3d) and
-    corner-to-corner paths get exercised.  ``fidelity`` switches on both
-    macro-event planes (trains + flows) before boot, so the same seeded
-    plan can be replayed against either execution mode."""
+    corner-to-corner paths get exercised.  ``fidelity`` selects the
+    execution plane before boot, so the same seeded plan can be replayed
+    against either mode."""
     cfg = MsgConfig(send_deadline_ns=5e6, recv_deadline_ns=2e7,
                     retransmit_base_ns=100_000.0, **(cfg_extra or {}))
     cl = TCCluster(topo_factory(), msg_cfg=cfg, memory_bytes=64 * MiB)
-    cl.sim.features.adaptive_fidelity = fidelity
-    cl.sim.features.flow_fidelity = fidelity
+    cl.sim.features.fidelity = fidelity
     cl.boot()
     # Seeded random plans may legally collide (kill a link twice, flap a
     # crashed node's link); skip-mode drops those deterministically.
@@ -295,18 +294,18 @@ def test_chaos_grid_sweep(seed):
 
 
 # ---------------------------------------------------------------------------
-# Compound faults on one macro flow window (flow fidelity on vs off).
+# Compound faults on one macro flow window (macro vs packet mode).
 # ---------------------------------------------------------------------------
 
 #: Eager-span friendly msglib config: big ring, 3584-byte messages
-#: coalesce into 64-slot spans that ride bulk trains when fidelity is on.
+#: coalesce into 64-slot spans that ride bulk trains in macro mode.
 _BULK_CFG = dict(ring_bytes=16 * KiB, eager_max=7168,
                  fb_interval_slots=128, read_chunk=4 * KiB)
 BULK_BYTES = 3584
 BULK_MSGS = 10
 
 
-def _compound_outcome(seed: int, fidelity: bool) -> ChaosOutcome:
+def _compound_outcome(seed: int, fidelity: str) -> ChaosOutcome:
     """BER storm AND credit stall overlapping on link 0 while an eager
     bulk stream is in flight -- both faults land inside the same macro
     flow window, forcing a demotion that the replay oracle then audits."""
@@ -327,8 +326,8 @@ def test_compound_fault_macro_flow_oracle(seed):
     """The two execution modes must reach the identical outcome: the
     macro plane demotes back to per-packet mode mid-window when the storm
     or the stall hits, and the demotion contract says bit-identical."""
-    fast = _compound_outcome(seed, fidelity=True)
-    slow = _compound_outcome(seed, fidelity=False)
+    fast = _compound_outcome(seed, "macro")
+    slow = _compound_outcome(seed, "packet")
     check_oracles(fast, n_msgs=BULK_MSGS, msg_bytes=BULK_BYTES)
     check_oracles(slow, n_msgs=BULK_MSGS, msg_bytes=BULK_BYTES)
     assert fast.macro_windows >= 1, "no macro flow ever formed"
@@ -337,10 +336,10 @@ def test_compound_fault_macro_flow_oracle(seed):
 
 
 def test_compound_fault_replays_identically():
-    """Same seed, fidelity on, run twice: the fingerprint (including the
+    """Same seed, macro mode, run twice: the fingerprint (including the
     macro window count) must replay exactly."""
-    a = _compound_outcome(2, fidelity=True)
-    b = _compound_outcome(2, fidelity=True)
+    a = _compound_outcome(2, "macro")
+    b = _compound_outcome(2, "macro")
     assert a.fingerprint() == b.fingerprint()
     assert a.macro_windows == b.macro_windows
 
@@ -348,8 +347,8 @@ def test_compound_fault_replays_identically():
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(12))
 def test_compound_fault_macro_flow_sweep(seed):
-    fast = _compound_outcome(seed + 40, fidelity=True)
-    slow = _compound_outcome(seed + 40, fidelity=False)
+    fast = _compound_outcome(seed + 40, "macro")
+    slow = _compound_outcome(seed + 40, "packet")
     check_oracles(fast, n_msgs=BULK_MSGS, msg_bytes=BULK_BYTES)
     assert fast.fingerprint() == slow.fingerprint()
 
@@ -399,12 +398,11 @@ def test_random_crash_always_pairs_rejoin():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("fidelity", [False, True],
-                         ids=["per_packet", "flow_fidelity"])
+@pytest.mark.parametrize("fidelity", ["packet", "macro"])
 @pytest.mark.parametrize("seed", range(50))
 def test_chaos_sweep(seed, fidelity):
     """The acceptance sweep: 50 seeded plans, mixed kinds, all oracles,
-    run under both execution modes (per-packet and flow-fidelity).
+    run under both execution modes (packet and macro).
 
     Even kills and crashes are fair game on the ring (route-around keeps
     connectivity); errors are allowed, silent loss and hangs are not.
@@ -595,7 +593,7 @@ def test_rejoin_chaos_sweep(seed):
 def test_allreduce_through_link_flap_fidelity_identical():
     """A 16-rank ring allreduce on torus3d(2,2,2) runs to the correct
     result *through* link flaps (retransmission recovers mid-collective),
-    and the flow-fidelity fast paths replay the identical outcome --
+    and the macro plane replays the identical outcome --
     same result bytes and same virtual completion time as the
     per-packet plane."""
     import numpy as np
@@ -604,12 +602,11 @@ def test_allreduce_through_link_flap_fidelity_identical():
 
     plan_events = ((6_000.0, 1, 9_000.0), (20_000.0, 7, 12_000.0))
     fingerprints = {}
-    for fidelity in (False, True):
+    for fidelity in ("packet", "macro"):
         cfg = MsgConfig(send_deadline_ns=5e6, recv_deadline_ns=2e7,
                         retransmit_base_ns=100_000.0)
         cl = TCCluster(torus3d(2, 2, 2), msg_cfg=cfg, memory_bytes=64 * MiB)
-        cl.sim.features.adaptive_fidelity = fidelity
-        cl.sim.features.flow_fidelity = fidelity
+        cl.sim.features.fidelity = fidelity
         cl.boot()
         plan = FaultPlan()
         for at, link, dur in plan_events:
@@ -635,4 +632,4 @@ def test_allreduce_through_link_flap_fidelity_identical():
             "the flap plan never actually perturbed the fabric"
         fingerprints[fidelity] = (first, cl.sim.now,
                                   tuple(sorted(faults.items())))
-    assert fingerprints[False] == fingerprints[True]
+    assert fingerprints["packet"] == fingerprints["macro"]

@@ -179,7 +179,7 @@ def test_bulk_transfer_one_copy_and_pooled_packets():
     byte exactly once (at destination page commit) and recirculates a
     bounded packet population."""
     sys_ = TCClusterSystem.two_board_prototype()
-    sys_.sim.features.adaptive_fidelity = False  # force per-packet plane
+    sys_.sim.features.fidelity = "packet"
     sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim

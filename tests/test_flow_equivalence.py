@@ -4,8 +4,8 @@
 contiguous span store (which rides the bulk-train machinery) and the
 train's per-line destination commits into an arithmetic
 :class:`~repro.sim.flows.CommitSpan`.  The claim under test mirrors
-``test_train_equivalence``: with ``flow_fidelity`` (plus
-``adaptive_fidelity``) on or off, a msglib exchange produces identical
+``test_train_equivalence``: with ``SimFeatures.fidelity`` set to
+``"packet"`` or ``"macro"``, a msglib exchange produces identical
 
 * virtual end times and per-message receive instants,
 * received payloads and destination memory images,
@@ -14,7 +14,7 @@ train's per-line destination commits into an arithmetic
 
 on the clean path and across demotions forced at arbitrary instants by
 foreign posted writes, foreign link sends, or BER pulses -- each of
-which aborts the carrying train and therefore the commit span mid-run.
+which aborts the carrying train and truncates its commit span mid-run.
 
 Deliberate divergences (excluded): the per-burst ``bursts`` LinkStats
 counter and the ``train_*`` / flow telemetry counters, which exist only
@@ -36,7 +36,7 @@ _CFG = dict(ring_bytes=16 * KiB, eager_max=7168, fb_interval_slots=128,
             read_chunk=4 * KiB, heap_bytes=64 * KiB)
 
 
-def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
+def run_exchange(fidelity, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
     """Rank 0 streams ``nmsgs`` eager messages to rank 1; returns an
     end-state dict.  ``kind``/``t_off`` optionally schedule a foreign
     disturbance ``t_off`` ns into the run:
@@ -46,8 +46,7 @@ def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
     * ``"ber"``    -- a BER pulse degrades and restores the link.
     """
     sys_ = TCClusterSystem(msg_cfg=MsgConfig(**_CFG))
-    sys_.sim.features.adaptive_fidelity = fast
-    sys_.sim.features.flow_fidelity = fast
+    sys_.sim.features.fidelity = fidelity
     sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim
@@ -146,8 +145,8 @@ def assert_equivalent(slow, fast):
 # ---------------------------------------------------------------------------
 
 def test_clean_exchange_exact():
-    slow = run_exchange(fast=False)
-    fast = run_exchange(fast=True)
+    slow = run_exchange("packet")
+    fast = run_exchange("macro")
     assert_equivalent(slow, fast)
     assert fast["slot_windows"] >= 2, "slot coalescing never engaged"
     assert fast["train_windows"] >= 2, "spans never rode a train"
@@ -160,8 +159,8 @@ def test_clean_exchange_exact():
 
 @pytest.mark.parametrize("msg_bytes", [168, 616, 3640])
 def test_clean_exchange_sizes_exact(msg_bytes):
-    slow = run_exchange(fast=False, msg_bytes=msg_bytes)
-    fast = run_exchange(fast=True, msg_bytes=msg_bytes)
+    slow = run_exchange("packet", msg_bytes=msg_bytes)
+    fast = run_exchange("macro", msg_bytes=msg_bytes)
     assert_equivalent(slow, fast)
 
 
@@ -178,8 +177,8 @@ def _fuzz_cases(seed, n, kinds=("submit", "send", "ber")):
 @pytest.mark.parametrize("seed", [3, 11, 77])
 def test_flow_demotion_fuzz_oracle(seed):
     for kind, t_off in _fuzz_cases(seed, 4):
-        slow = run_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_exchange(fast=True, kind=kind, t_off=t_off)
+        slow = run_exchange("packet", kind=kind, t_off=t_off)
+        fast = run_exchange("macro", kind=kind, t_off=t_off)
         try:
             assert_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -190,8 +189,8 @@ def test_flow_demotion_fuzz_oracle(seed):
 @pytest.mark.parametrize("seed", list(range(6)))
 def test_flow_demotion_fuzz_oracle_deep(seed):
     for kind, t_off in _fuzz_cases(seed + 500, 10):
-        slow = run_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_exchange(fast=True, kind=kind, t_off=t_off)
+        slow = run_exchange("packet", kind=kind, t_off=t_off)
+        fast = run_exchange("macro", kind=kind, t_off=t_off)
         try:
             assert_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -201,10 +200,10 @@ def test_flow_demotion_fuzz_oracle_deep(seed):
 def test_mid_commit_demotion_exact():
     # ~1200 ns in: the first message's train is serializing and the commit
     # span holds applied-but-unflushed lines; a foreign submit on the
-    # sender demotes both, materializing in-flight commits as real
-    # calendar entries and re-arming the classic chain for the tail.
-    slow = run_exchange(fast=False, kind="submit", t_off=1200.0)
-    fast = run_exchange(fast=True, kind="submit", t_off=1200.0)
+    # sender demotes the train, and the span, truncated at the cut, still
+    # commits every line that left before it.
+    slow = run_exchange("packet", kind="submit", t_off=1200.0)
+    fast = run_exchange("macro", kind="submit", t_off=1200.0)
     assert_equivalent(slow, fast)
     assert fast["train_demotions"] >= 1, "disturbance never demoted a train"
 
@@ -217,14 +216,13 @@ def test_mid_commit_demotion_exact():
 M256 = 256 * MiB
 
 
-def run_read_exchange(fast, nlines=24, kind=None, t_off=None):
+def run_read_exchange(fidelity, nlines=24, kind=None, t_off=None):
     """node0's core reads ``nlines`` cachelines of node1 memory (a chain
     of same-route coherent fabric reads); optional foreign disturbance
     ``t_off`` ns after the reads start."""
     proto = build_single_board_prototype()
     sim = proto.sim
-    sim.features.adaptive_fidelity = fast
-    sim.features.flow_fidelity = fast
+    sim.features.fidelity = fidelity
     proto.boot()
     node0, node1 = proto.node0, proto.node1
     link = proto.coherent_link
@@ -314,8 +312,8 @@ def assert_read_equivalent(slow, fast):
 
 
 def test_clean_read_chain_exact():
-    slow = run_read_exchange(fast=False)
-    fast = run_read_exchange(fast=True)
+    slow = run_read_exchange("packet")
+    fast = run_read_exchange("macro")
     assert_read_equivalent(slow, fast)
     assert fast["read_windows"] >= 1, "read flow never engaged"
     assert fast["read_reads"] == 24, "not every read promoted"
@@ -332,8 +330,8 @@ def test_read_demotion_fuzz_oracle(seed):
     for _ in range(4):
         kind = rng.choice(("submit", "send", "ber", "stall"))
         t_off = round(rng.uniform(1.0, 4000.0), 2)
-        slow = run_read_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_read_exchange(fast=True, kind=kind, t_off=t_off)
+        slow = run_read_exchange("packet", kind=kind, t_off=t_off)
+        fast = run_read_exchange("macro", kind=kind, t_off=t_off)
         try:
             assert_read_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -347,8 +345,8 @@ def test_read_demotion_fuzz_oracle_deep(seed):
     for _ in range(10):
         kind = rng.choice(("submit", "send", "ber", "stall"))
         t_off = round(rng.uniform(1.0, 4000.0), 2)
-        slow = run_read_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_read_exchange(fast=True, kind=kind, t_off=t_off)
+        slow = run_read_exchange("packet", kind=kind, t_off=t_off)
+        fast = run_read_exchange("macro", kind=kind, t_off=t_off)
         try:
             assert_read_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -360,15 +358,14 @@ def test_read_demotion_fuzz_oracle_deep(seed):
 # through rank 1's northbridge)
 # ---------------------------------------------------------------------------
 
-def run_forward_exchange(fast, nmsgs=2, kind=None, t_off=None,
+def run_forward_exchange(fidelity, nmsgs=2, kind=None, t_off=None,
                          msg_bytes=3584):
     """Rank 0 streams eager messages to rank 2; every slot write is
     forwarded by rank 1.  Disturbances target the hop: a foreign send on
     the outbound link, a runt packet chasing the absorbed run on the
     inbound link, a BER pulse, or a credit theft."""
     sys_ = TCClusterSystem(num_supernodes=3, msg_cfg=MsgConfig(**_CFG))
-    sys_.sim.features.adaptive_fidelity = fast
-    sys_.sim.features.flow_fidelity = fast
+    sys_.sim.features.fidelity = fidelity
     sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim
@@ -488,8 +485,8 @@ def assert_forward_equivalent(slow, fast):
 
 
 def test_clean_forward_exact():
-    slow = run_forward_exchange(fast=False)
-    fast = run_forward_exchange(fast=True)
+    slow = run_forward_exchange("packet")
+    fast = run_forward_exchange("macro")
     assert_forward_equivalent(slow, fast)
     assert fast["forward_windows"] >= 1, "forward flow never engaged"
     assert fast["forward_packets"] >= 64, "hop absorbed too few packets"
@@ -505,8 +502,8 @@ def test_forward_demotion_fuzz_oracle(seed):
     for _ in range(3):
         kind = rng.choice(("send_out", "send_in", "ber", "stall"))
         t_off = round(rng.uniform(1.0, 6500.0), 2)
-        slow = run_forward_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_forward_exchange(fast=True, kind=kind, t_off=t_off)
+        slow = run_forward_exchange("packet", kind=kind, t_off=t_off)
+        fast = run_forward_exchange("macro", kind=kind, t_off=t_off)
         try:
             assert_forward_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -520,8 +517,8 @@ def test_forward_demotion_fuzz_oracle_deep(seed):
     for _ in range(8):
         kind = rng.choice(("send_out", "send_in", "ber", "stall"))
         t_off = round(rng.uniform(1.0, 6500.0), 2)
-        slow = run_forward_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_forward_exchange(fast=True, kind=kind, t_off=t_off)
+        slow = run_forward_exchange("packet", kind=kind, t_off=t_off)
+        fast = run_forward_exchange("macro", kind=kind, t_off=t_off)
         try:
             assert_forward_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -532,9 +529,8 @@ def test_forward_demotion_fuzz_oracle_deep(seed):
 # Many concurrent stream windows feeding commit spans: pairwise alltoall
 # ---------------------------------------------------------------------------
 
-def _pairwise_alltoall(adaptive):
-    """A 16-rank pairwise alltoall on torus2d(4,4) with flow fidelity on:
-    every rank sends from a second (isend) process on its core while its
+def _pairwise_alltoall(fidelity):
+    """A 16-rank pairwise alltoall on torus2d(4,4): every rank sends from a second (isend) process on its core while its
     driver receives, so windows open and demote all over the fabric and
     the destination commit spans grow store by store."""
     from repro.bench.sweep_points import _collective_cfg, _drive_collective
@@ -542,8 +538,7 @@ def _pairwise_alltoall(adaptive):
     from repro.topology import torus2d
 
     system = TCClusterSystem(torus2d(4, 4), msg_cfg=_collective_cfg(4096))
-    system.sim.features.flow_fidelity = True
-    system.sim.features.adaptive_fidelity = adaptive
+    system.sim.features.fidelity = fidelity
     system.boot()
     cl = system.cluster
     comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
@@ -555,19 +550,20 @@ def _pairwise_alltoall(adaptive):
 
 
 def test_pairwise_alltoall_stream_windows_exact():
-    slow, _ = _pairwise_alltoall(adaptive=False)
-    fast, windows = _pairwise_alltoall(adaptive=True)
+    slow, _ = _pairwise_alltoall("packet")
+    fast, windows = _pairwise_alltoall("macro")
     assert fast == slow
     assert windows > 0
 
 
 # ---------------------------------------------------------------------------
-# Allreduce under both settings: binomial trees send to several children
+# Allreduce in both modes: binomial trees send to several children
 # from one core, so coalesced slot spans race same-instant stores
 # ---------------------------------------------------------------------------
 
-def run_allreduce(algorithm, flow, nbytes=16 * KiB):
-    """A seeded float64 allreduce on torus2d(4,4); returns the virtual
+def run_allreduce(algorithm, fidelity, nbytes=16 * KiB):
+    """A seeded float64 allreduce on torus2d(4,4) under ``fidelity``;
+    returns the virtual
     elapsed time, every rank's result bytes and every node's DRAM image
     (resident pages)."""
     import numpy as np
@@ -578,7 +574,7 @@ def run_allreduce(algorithm, flow, nbytes=16 * KiB):
     system = TCClusterSystem(torus2d(4, 4), msg_cfg=MsgConfig(
         ring_bytes=64 * KiB, eager_max=24576, fb_interval_slots=128,
         heap_bytes=max(512 * KiB, 2 * nbytes)))
-    system.sim.features.flow_fidelity = flow
+    system.sim.features.fidelity = fidelity
     system.boot()
     cl = system.cluster
     sim = system.sim
@@ -606,13 +602,13 @@ def run_allreduce(algorithm, flow, nbytes=16 * KiB):
 
 
 @pytest.mark.parametrize("algorithm", ["binomial", "ring"])
-def test_allreduce_flow_fidelity_exact(algorithm):
+def test_allreduce_fidelity_exact(algorithm):
     """A multi-slot span store whose first line ends its fill at the very
     instant another process's store on the same core submits must keep
     the per-slot order (the binomial tree's sibling sends); ring pins the
     clean case."""
-    off = run_allreduce(algorithm, flow=False)
-    on = run_allreduce(algorithm, flow=True)
+    packet = run_allreduce(algorithm, "packet")
+    macro = run_allreduce(algorithm, "macro")
     for key in ("elapsed", "results", "memory"):
-        assert off[key] == on[key], f"{algorithm}: {key} diverged"
-    assert on["slot_windows"] > 0 and off["slot_windows"] == 0
+        assert packet[key] == macro[key], f"{algorithm}: {key} diverged"
+    assert macro["slot_windows"] > 0 and packet["slot_windows"] == 0

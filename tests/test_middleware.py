@@ -600,14 +600,14 @@ def test_reduce_contribution_length_mismatch_is_typed():
 
 
 def test_allreduce_fidelity_fingerprint_identical():
-    """flow_fidelity on/off: same result bytes, same virtual time; the
+    """Packet and macro mode: same result bytes, same virtual time; the
     bulk ring phases must actually engage the macro-event span layer."""
     results = {}
     cfg = MsgConfig(ring_bytes=64 * 1024, eager_max=24576,
                     fb_interval_slots=128)
-    for fidelity in (False, True):
+    for fidelity in ("packet", "macro"):
         sys_ = TCClusterSystem(torus2d(4, 4), msg_cfg=cfg)
-        sys_.sim.features.flow_fidelity = fidelity
+        sys_.sim.features.fidelity = fidelity
         sys_.boot()
         cs = [Communicator.for_cluster(sys_.cluster, r)
               for r in range(sys_.nranks)]
@@ -615,10 +615,10 @@ def test_allreduce_fidelity_fingerprint_identical():
         outs = run_all(sys_, [cs[r].allreduce(inputs[r], algorithm="ring")
                               for r in range(sys_.nranks)])
         results[fidelity] = (outs[0].tobytes(), sys_.sim.now)
-        if fidelity:
+        if fidelity == "macro":
             fc = flow_counters(sys_.sim)
             assert fc.slot_windows > 0 and fc.slot_slots > 0
-    assert results[False] == results[True]
+    assert results["packet"] == results["macro"]
 
 
 def test_tuning_overrides_selection():

@@ -7,7 +7,8 @@ Three families, matching the hot-path overhaul's risk surface:
   never scheduled) and the *late* (already dispatched) cases,
 * the numeric-sleep fast path under interrupts (wake-token staleness),
 * poll parking and burst serialization as virtual-time-invariant
-  transformations (park/doorbell race, burst-vs-per-packet seeded fuzz).
+  transformations (park/doorbell race, burst-vs-per-packet seeded fuzz),
+  each against its busy-poll / per-packet fallback.
 """
 
 import dataclasses
@@ -16,7 +17,24 @@ import random
 import pytest
 
 from repro.ht import Link, LinkSide, VirtualChannel, make_posted_write
-from repro.sim import Doorbell, Interrupt, Simulator
+from repro.ht.link import _Direction
+from repro.sim import Doorbell, Interrupt, SimFeatures, Simulator
+
+
+# ---------------------------------------------------------------------------
+# The fidelity setting
+# ---------------------------------------------------------------------------
+
+def test_unknown_fidelity_rejected():
+    assert SimFeatures().fidelity == "macro"
+    assert SimFeatures("packet").fidelity == "packet"
+    with pytest.raises(ValueError, match="fidelity"):
+        SimFeatures(fidelity="flow")
+    sim = Simulator()
+    with pytest.raises(ValueError, match="fidelity"):
+        sim.features.fidelity = True
+    assert sim.features.fidelity == "macro"
+    assert dataclasses.asdict(sim.features) == {"fidelity": "macro"}
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +186,10 @@ def test_parked_receiver_wakes_for_concurrent_send():
     wake for a message sent while it is parked, at the same virtual time
     (quantized to the poll grid) a busy-polling receiver would see it."""
     from repro.core import TCClusterSystem
+    from repro.msglib.endpoint import Endpoint
 
     def run(parking: bool):
         sys_ = TCClusterSystem.two_board_prototype()
-        sys_.sim.features.poll_parking = parking
         sys_.boot()
         cl = sys_.cluster
         a, b = cl.rank_of(0, 1), cl.rank_of(1, 1)
@@ -189,7 +207,11 @@ def test_parked_receiver_wakes_for_concurrent_send():
 
         sim.process(receiver())
         sim.process(sender())
-        sim.run()
+        with pytest.MonkeyPatch.context() as mp:
+            if not parking:
+                # The busy-poll fallback every ring that cannot park takes.
+                mp.setattr(Endpoint, "_parking_doorbell", lambda self: None)
+            sim.run()
         assert got and got[0][0] == b"wake-up" * 9
         return got[0][1], rx.stats.park_wakes
 
@@ -212,7 +234,6 @@ def _run_stream(burst: bool, seed: int):
     gaps = [rng.choice((0.0, 0.0, 0.0, 5.0, 500.0)) for _ in sizes]
 
     sim = Simulator()
-    sim.features.burst_serialization = burst
     link = Link(sim, "l0")
     link.activate("noncoherent")
     deliveries = []
@@ -232,7 +253,11 @@ def _run_stream(burst: bool, seed: int):
 
     sim.process(rx())
     sim.process(tx())
-    sim.run()
+    with pytest.MonkeyPatch.context() as mp:
+        if not burst:
+            # The per-packet serialization a BER > 0 or traced link takes.
+            mp.setattr(_Direction, "_can_burst", lambda self, vc: False)
+        sim.run()
     assert len(deliveries) == len(sizes)
     return deliveries, link.stats(LinkSide.A)
 
@@ -310,41 +335,37 @@ def test_cancelled_entry_skipped_in_run_until_event():
 # test_train_equivalence.py; these pin the three named hazards.
 # ---------------------------------------------------------------------------
 
-from test_train_equivalence import FLOWS, assert_equivalent, run_train_mode
+from test_train_equivalence import assert_equivalent, run_train_mode
 
 
 def _demotion_pair(K, kind, t_off):
-    """Per-packet and train runs of one disturbed store under each
-    ``flow_fidelity`` setting, asserted equivalent; returns the train
-    runs."""
-    fast_runs = []
-    for flow in FLOWS:
-        slow = run_train_mode(K, fast=False, kind=kind, t_off=t_off, flow=flow)
-        fast = run_train_mode(K, fast=True, kind=kind, t_off=t_off, flow=flow)
-        assert_equivalent(slow, fast, flow)
-        fast_runs.append(fast)
-    return fast_runs
+    """Packet- and macro-mode runs of one disturbed store, asserted
+    equivalent; returns the macro run."""
+    slow = run_train_mode(K, "packet", kind=kind, t_off=t_off)
+    fast = run_train_mode(K, "macro", kind=kind, t_off=t_off)
+    assert_equivalent(slow, fast)
+    return fast
 
 
 def test_train_contention_arriving_mid_train():
     # A local posted write enters the northbridge while the train is in
     # full flight (K=64 window spans ~1.5us; t=241.3 is mid-window).
-    for fast in _demotion_pair(64, "submit", 241.3):
-        assert fast["train_demotions"] >= 1, "contention must demote"
+    fast = _demotion_pair(64, "submit", 241.3)
+    assert fast["train_demotions"] >= 1, "contention must demote"
 
 
 def test_train_link_degradation_mid_train():
     # A BER pulse (retry-capable link state) during the aggregate window:
     # the fidelity switch may not keep arithmetic timestamps once the
     # wire can corrupt packets.
-    for fast in _demotion_pair(64, "ber", 160.9):
-        assert fast["train_demotions"] >= 1, "degradation must demote"
+    fast = _demotion_pair(64, "ber", 160.9)
+    assert fast["train_demotions"] >= 1, "degradation must demote"
 
 
 def test_train_interrupt_inside_aggregated_window():
-    for fast in _demotion_pair(64, "interrupt", 93.1):
-        assert "store_interrupted" in fast["done"]
-        assert fast["train_demotions"] >= 1, "interrupt must demote"
+    fast = _demotion_pair(64, "interrupt", 93.1)
+    assert "store_interrupted" in fast["done"]
+    assert fast["train_demotions"] >= 1, "interrupt must demote"
 
 
 def test_train_foreign_rx_traffic_mid_train():

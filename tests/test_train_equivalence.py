@@ -1,11 +1,11 @@
-"""Aggregate-vs-per-packet equivalence oracle for adaptive-fidelity trains.
+"""Aggregate-vs-per-packet equivalence oracle for WC stream windows.
 
 ``repro.opteron.train`` runs a core's full-line WC stores into a quiescent
 link -- one bulk store or a program-order stream of line stores -- as a
 growing window of closed-form arithmetic (see its module docstring).
-The claim it must
-uphold is *virtual-time equivalence*: with `adaptive_fidelity` on or off,
-a run produces identical
+The claim it must uphold is *virtual-time equivalence*: with
+``SimFeatures.fidelity`` set to ``"packet"`` or ``"macro"``, a run
+produces identical
 
 * completion times (store return, sfence, final drain),
 * destination commit instants and memory contents,
@@ -17,12 +17,10 @@ an arbitrary instant by a foreign posted write, a foreign link send, a
 BER pulse or an interrupt.  The seeded fuzz below drives exactly that
 comparison, for bulk stores and for mixed store programs.
 
-Every case runs under both ``flow_fidelity`` settings.  With it off the
-destination commits are real calendar entries and the oracle compares
-them one by one, in execution order.  With it on a
-:class:`~repro.sim.flows.CommitSpan` computes them arithmetically, so the
-oracle compares the union of real and computed commits (instant, offset,
-length) and of memory-port claim instants instead.
+In macro mode a :class:`~repro.sim.flows.CommitSpan` computes a window's
+destination commits arithmetically, so the oracle compares the union of
+real and computed commits (instant, offset, length) and of memory-port
+claim instants.
 
 Known, deliberate divergences (excluded from comparison): the per-burst
 ``bursts`` LinkStats counter and the train's own ``train_*`` /
@@ -36,8 +34,6 @@ import pytest
 
 from repro.util.units import CACHELINE
 
-FLOWS = (False, True)
-
 
 @contextmanager
 def spy_dest_commits(sim, mc):
@@ -46,8 +42,7 @@ def spy_dest_commits(sim, mc):
     calendar commits in ``commits``, and in ``span_commits`` /
     ``span_claims`` the ones a commit span computes arithmetically (a
     span line's claim when the span folds it into the port arithmetic,
-    its commit when the span makes it real; a line a demotion hands back
-    as a real calendar commit shows up in ``commits`` instead)."""
+    its commit when the span makes it real)."""
     from repro.sim import flows
 
     log = dict(commits=[], claims=[], span_commits=[], span_claims=[])
@@ -102,16 +97,16 @@ def spy_dest_commits(sim, mc):
 def commit_results(log):
     """End-state entries of a :func:`spy_dest_commits` log."""
     return dict(
-        commits=log["commits"],
         all_commits=sorted(log["commits"] + log["span_commits"]),
         claims=sorted(log["claims"] + log["span_claims"]),
     )
 
 
-def run_train_mode(K, fast, kind=None, t_off=None, tail=0, flow=False):
-    """One two-board bulk store of ``K`` lines (+``tail`` bytes); returns
-    an end-state dict.  ``flow`` sets ``flow_fidelity`` (off: per-line
-    destination commits; on: commit spans).  ``kind``/``t_off``
+def run_train_mode(K, fidelity, kind=None, t_off=None, tail=0,
+                   trace_dest=False):
+    """One two-board bulk store of ``K`` lines (+``tail`` bytes) under
+    ``fidelity``; returns an end-state dict.  ``trace_dest`` traces the
+    destination memory controller (and nothing else).  ``kind``/``t_off``
     optionally schedule a foreign disturbance ``t_off`` ns after the
     store begins:
 
@@ -122,12 +117,12 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0, flow=False):
     """
     from repro.bench.microbench import _RawWindow
     from repro.core import TCClusterSystem
+    from repro.sim import Tracer
     from repro.sim.engine import Interrupt
 
     system = TCClusterSystem.two_board_prototype()
     system.enable_metrics()
-    system.sim.features.adaptive_fidelity = fast
-    system.sim.features.flow_fidelity = flow
+    system.sim.features.fidelity = fidelity
     system.boot()
     cl = system.cluster
     sim = cl.sim
@@ -141,6 +136,8 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0, flow=False):
     binding = chip.ports[r.dst_link]
     link, side = binding.link, binding.side
     dest_chip = link.attached["B" if side == "A" else "A"]
+    if trace_dest:
+        dest_chip.memctrl.tracer = Tracer()
     data = bytes((i * 37 + 5) % 256 for i in range(K * CACHELINE + tail))
 
     done = {}
@@ -208,6 +205,7 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0, flow=False):
         wc=(core.wc.fills, core.wc.full_flushes, core.wc.partial_flushes),
         snap=snap,
         dest_mem=dest_chip.memctrl.memory.read(0, 1 << 16),
+        dest_trace=dest_chip.memctrl.tracer.records,
         local_mem=chip.memctrl.memory.read(900 << 10, 64),
         events=sim.event_count,
         train_windows=nb.counters.get("train_windows"),
@@ -217,17 +215,14 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0, flow=False):
 
 
 _COMPARED = ("t_end", "done", "all_commits", "claims", "stats", "counters",
-             "dest_counters", "wc", "snap", "dest_mem", "local_mem")
+             "dest_counters", "wc", "snap", "dest_mem", "local_mem",
+             "dest_trace")
 
 
-def assert_equivalent(slow, fast, flow=False):
-    """``flow`` off additionally pins the per-line commit oracle: every
-    destination commit is a real calendar entry, compared in execution
-    order."""
-    keys = _COMPARED if flow else _COMPARED + ("commits",)
-    for key in keys:
+def assert_equivalent(slow, fast):
+    for key in _COMPARED:
         assert slow[key] == fast[key], (
-            f"{key} diverged (flow={flow}):\n  slow: {str(slow[key])[:400]}"
+            f"{key} diverged:\n  slow: {str(slow[key])[:400]}"
             f"\n  fast: {str(fast[key])[:400]}"
         )
 
@@ -238,48 +233,55 @@ def assert_equivalent(slow, fast, flow=False):
 
 @pytest.mark.parametrize("K", [1, 4, 5, 16, 64])
 def test_clean_bulk_store_exact(K):
-    for flow in FLOWS:
-        slow = run_train_mode(K, fast=False, flow=flow)
-        fast = run_train_mode(K, fast=True, flow=flow)
-        assert_equivalent(slow, fast, flow)
-        if K >= 4:
-            assert fast["train_windows"] >= 1, "fast path never engaged"
-        if K <= 5:
-            # Larger K: the probe store lands inside the main train's
-            # drain tail and legitimately demotes it (covered by the fuzz
-            # below).
-            assert fast["train_demotions"] == 0
+    slow = run_train_mode(K, "packet")
+    fast = run_train_mode(K, "macro")
+    assert_equivalent(slow, fast)
+    if K >= 4:
+        assert fast["train_windows"] >= 1, "fast path never engaged"
+    if K <= 5:
+        # Larger K: the probe store lands inside the main train's drain
+        # tail and legitimately demotes it (covered by the fuzz below).
+        assert fast["train_demotions"] == 0
 
 
 def test_clean_bulk_store_saves_events():
-    for flow in FLOWS:
-        slow = run_train_mode(64, fast=False, flow=flow)
-        fast = run_train_mode(64, fast=True, flow=flow)
-        assert_equivalent(slow, fast, flow)
-        assert fast["events"] < slow["events"] * 0.75, (
-            f"aggregate fidelity saved too little (flow={flow}): "
-            f"{slow['events']} -> {fast['events']}"
-        )
+    slow = run_train_mode(64, "packet")
+    fast = run_train_mode(64, "macro")
+    assert_equivalent(slow, fast)
+    assert fast["events"] < slow["events"] * 0.75, (
+        f"aggregate fidelity saved too little: "
+        f"{slow['events']} -> {fast['events']}"
+    )
 
 
 def test_partial_tail_line_exact():
     # 16 full lines plus a 20-byte tail: the train covers the aligned
     # prefix, the tail goes through the ordinary per-packet partial path.
-    for flow in FLOWS:
-        slow = run_train_mode(16, fast=False, tail=20, flow=flow)
-        fast = run_train_mode(16, fast=True, tail=20, flow=flow)
-        assert_equivalent(slow, fast, flow)
-        assert fast["train_windows"] >= 1
+    slow = run_train_mode(16, "packet", tail=20)
+    fast = run_train_mode(16, "macro", tail=20)
+    assert_equivalent(slow, fast)
+    assert fast["train_windows"] >= 1
+
+
+def test_traced_destination_stays_per_packet():
+    """A traced destination memory controller records every commit
+    entry, so a store into it never opens a window: macro mode matches
+    packet mode, trace records included."""
+    slow = run_train_mode(16, "packet", trace_dest=True)
+    fast = run_train_mode(16, "macro", trace_dest=True)
+    assert_equivalent(slow, fast)
+    assert fast["dest_trace"], "the destination controller traced nothing"
+    assert fast["train_windows"] == 0
+    assert fast["events"] == slow["events"]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("K", [300, 4500])
 def test_clean_bulk_store_exact_large(K):
-    for flow in FLOWS:
-        slow = run_train_mode(K, fast=False, flow=flow)
-        fast = run_train_mode(K, fast=True, flow=flow)
-        assert_equivalent(slow, fast, flow)
-        assert fast["events"] < slow["events"] * 0.65
+    slow = run_train_mode(K, "packet")
+    fast = run_train_mode(K, "macro")
+    assert_equivalent(slow, fast)
+    assert fast["events"] < slow["events"] * 0.65
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +299,13 @@ def _fuzz_cases(seed, n, kinds=("submit", "send", "interrupt", "ber")):
 
 def assert_train_fuzz_exact(cases):
     for kind, K, t_off in cases:
-        for flow in FLOWS:
-            slow = run_train_mode(K, False, kind, t_off, flow=flow)
-            fast = run_train_mode(K, True, kind, t_off, flow=flow)
-            try:
-                assert_equivalent(slow, fast, flow)
-            except AssertionError as exc:  # pragma: no cover - diagnostics
-                raise AssertionError(
-                    f"kind={kind} K={K} t_off={t_off}: {exc}") from exc
+        slow = run_train_mode(K, "packet", kind, t_off)
+        fast = run_train_mode(K, "macro", kind, t_off)
+        try:
+            assert_equivalent(slow, fast)
+        except AssertionError as exc:  # pragma: no cover - diagnostics
+            raise AssertionError(
+                f"kind={kind} K={K} t_off={t_off}: {exc}") from exc
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
@@ -374,10 +375,10 @@ def _stream_program(seed, nops=48):
     return ops
 
 
-def run_stream_mode(ops, fast, kind=None, t_off=None, metrics=True,
-                    flow=False, ops2=None):
-    """Execute ``ops`` on the two-board prototype's storing core; returns
-    an end-state dict.  ``kind``/``t_off`` schedule one disturbance (see
+def run_stream_mode(ops, fidelity, kind=None, t_off=None, metrics=True,
+                    ops2=None):
+    """Execute ``ops`` on the two-board prototype's storing core under
+    ``fidelity``; returns an end-state dict.  ``kind``/``t_off`` schedule one disturbance (see
     :func:`run_train_mode`) ``t_off`` ns after the program starts; an
     interrupt abandons the op in progress and the program continues.
     ``ops2`` runs as a second process storing through the same core.
@@ -391,8 +392,7 @@ def run_stream_mode(ops, fast, kind=None, t_off=None, metrics=True,
     system = TCClusterSystem.two_board_prototype()
     if metrics:
         system.enable_metrics()
-    system.sim.features.adaptive_fidelity = fast
-    system.sim.features.flow_fidelity = flow
+    system.sim.features.fidelity = fidelity
     system.boot()
     cl = system.cluster
     sim = cl.sim
@@ -519,14 +519,10 @@ _LINK_DOWN_COMPARED = ("trace", "dest_counters", "wc", "dest_mc",
                        "dest_mem", "local_mem")
 
 
-def assert_stream_equivalent(slow, fast, label="", flow=False,
-                             link_down=False):
-    # Commit spans apply destination writes arithmetically: with them on,
-    # the oracle compares real plus computed commits (see
-    # spy_dest_commits), with them off every commit in execution order.
+def assert_stream_equivalent(slow, fast, label="", link_down=False):
+    # Commit spans apply destination writes arithmetically: the oracle
+    # compares real plus computed commits (see spy_dest_commits).
     keys = _LINK_DOWN_COMPARED if link_down else _STREAM_COMPARED
-    if not flow:
-        keys += ("commits",)
     for key in keys:
         assert slow[key] == fast[key], (
             f"{label} {key} diverged:\n  slow: {str(slow[key])[:600]}"
@@ -535,11 +531,11 @@ def assert_stream_equivalent(slow, fast, label="", flow=False,
 
 
 @pytest.mark.parametrize("metrics", [True, False])
-@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("seed", [3, 11, 21])
 def test_stream_clean_exact(seed, metrics):
     ops = _stream_program(seed)
-    slow = run_stream_mode(ops, fast=False, metrics=metrics)
-    fast = run_stream_mode(ops, fast=True, metrics=metrics)
+    slow = run_stream_mode(ops, "packet", metrics=metrics)
+    fast = run_stream_mode(ops, "macro", metrics=metrics)
     assert_stream_equivalent(slow, fast, f"seed={seed}")
     assert fast["train_lines"] > 0, "stream windows never engaged"
     assert fast["events"] < slow["events"]
@@ -552,17 +548,15 @@ def test_stream_disturbance_fuzz(seed):
     or sits between stores."""
     rng = random.Random(1000 + seed)
     ops = _stream_program(seed, nops=64)
-    span = run_stream_mode(ops, fast=False, metrics=False)["span"]
+    span = run_stream_mode(ops, "packet", metrics=False)["span"]
     for kind in ("submit", "send", "interrupt", "ber", "flap"):
         t_off = round(rng.uniform(5.0, span), 2)
         metrics = rng.random() < 0.5
-        for flow in FLOWS:
-            slow = run_stream_mode(ops, False, kind, t_off, metrics, flow)
-            fast = run_stream_mode(ops, True, kind, t_off, metrics, flow)
-            assert_stream_equivalent(
-                slow, fast, f"seed={seed} kind={kind} t_off={t_off} "
-                            f"metrics={metrics}", flow=flow,
-                link_down=kind == "flap")
+        slow = run_stream_mode(ops, "packet", kind, t_off, metrics)
+        fast = run_stream_mode(ops, "macro", kind, t_off, metrics)
+        assert_stream_equivalent(
+            slow, fast, f"seed={seed} kind={kind} t_off={t_off} "
+                        f"metrics={metrics}", link_down=kind == "flap")
 
 
 def test_two_processes_one_core_exact():
@@ -572,8 +566,8 @@ def test_two_processes_one_core_exact():
     ops = [("line", k) for k in range(2200)] + [("sfence",)]
     ops2 = [("gap", 3000.5)] + [("line", 4000 + k) for k in range(40)] + [
         ("gap", 40.0), ("line", 5000), ("sfence",)]
-    slow = run_stream_mode(ops, fast=False, ops2=ops2)
-    fast = run_stream_mode(ops, fast=True, ops2=ops2)
+    slow = run_stream_mode(ops, "packet", ops2=ops2)
+    fast = run_stream_mode(ops, "macro", ops2=ops2)
     assert_stream_equivalent(slow, fast)
     assert fast["train_demotions"] >= 1
 
@@ -609,11 +603,10 @@ def test_two_processes_same_instant_stores_exact(seed):
     fill-end entry reproduce it)."""
     ops = _stream_program(seed, nops=40)
     ops2 = _second_process_program(seed)
-    for flow in FLOWS:
-        slow = run_stream_mode(ops, False, metrics=False, flow=flow, ops2=ops2)
-        fast = run_stream_mode(ops, True, metrics=False, flow=flow, ops2=ops2)
-        assert_stream_equivalent(slow, fast, f"seed={seed}", flow=flow)
-        assert fast["train_demotions"] >= 1
+    slow = run_stream_mode(ops, "packet", metrics=False, ops2=ops2)
+    fast = run_stream_mode(ops, "macro", metrics=False, ops2=ops2)
+    assert_stream_equivalent(slow, fast, f"seed={seed}")
+    assert fast["train_demotions"] >= 1
 
 
 @pytest.mark.parametrize("ops", [
@@ -626,19 +619,10 @@ def test_two_processes_same_instant_stores_exact(seed):
     + [("sfence",)],
 ], ids=["bulk", "line", "queue-full"])
 def test_flush_at_acceptance_instant_exact(ops):
-    slow = run_stream_mode(ops, fast=False)
-    fast = run_stream_mode(ops, fast=True)
+    slow = run_stream_mode(ops, "packet")
+    fast = run_stream_mode(ops, "macro")
     assert_stream_equivalent(slow, fast)
     assert fast["train_demotions"] == 1
-
-
-def test_stream_flow_fidelity_exact():
-    """The same stream with commit spans on the destination side."""
-    ops = _stream_program(21)
-    slow = run_stream_mode(ops, fast=False, flow=True)
-    fast = run_stream_mode(ops, fast=True, flow=True)
-    assert_stream_equivalent(slow, fast, flow=True)
-    assert fast["train_lines"] > 0
 
 
 @pytest.mark.slow
@@ -646,18 +630,16 @@ def test_stream_flow_fidelity_exact():
 def test_stream_disturbance_fuzz_deep(seed):
     rng = random.Random(2000 + seed)
     ops = _stream_program(seed, nops=96)
-    span = run_stream_mode(ops, fast=False, metrics=False)["span"]
+    span = run_stream_mode(ops, "packet", metrics=False)["span"]
     for _ in range(6):
         kind = rng.choice(("submit", "send", "interrupt", "ber", "flap"))
         t_off = round(rng.uniform(5.0, span), 2)
         metrics = rng.random() < 0.5
-        flow = rng.random() < 0.3
-        slow = run_stream_mode(ops, False, kind, t_off, metrics, flow)
-        fast = run_stream_mode(ops, True, kind, t_off, metrics, flow)
+        slow = run_stream_mode(ops, "packet", kind, t_off, metrics)
+        fast = run_stream_mode(ops, "macro", kind, t_off, metrics)
         assert_stream_equivalent(
             slow, fast, f"seed={seed} kind={kind} t_off={t_off} "
-                        f"metrics={metrics} flow={flow}", flow=flow,
-            link_down=kind == "flap")
+                        f"metrics={metrics}", link_down=kind == "flap")
 
 
 def test_stream_window_state_bounded(monkeypatch):
@@ -688,30 +670,33 @@ def test_stream_window_state_bounded(monkeypatch):
     assert chip.nb.counters.get("train_lines") == 4 * MiB // CACHELINE
 
 
-def _msglib_weak_send(fast):
-    """One multi-slot eager message sent slot by slot (weak mode, flow
-    fidelity off) over the two-board prototype."""
+def _msglib_weak_send(fidelity):
+    """Single-slot eager messages sent back to back (weak mode) over the
+    two-board prototype: slot coalescing declines a one-slot message, so
+    every slot is its own line store."""
     from repro.core import TCClusterSystem
+    from repro.msglib.config import SLOT_PAYLOAD
 
     system = TCClusterSystem.two_board_prototype()
-    system.sim.features.adaptive_fidelity = fast
-    system.sim.features.flow_fidelity = False
+    system.sim.features.fidelity = fidelity
     system.boot()
     cl = system.cluster
     sim = cl.sim
     a, b = cl.rank_of(0, 1), cl.rank_of(1, 1)
     ep_ab, ep_ba = system.connect(a, b)
-    payload = bytes((i * 13 + 1) % 256 for i in range(40 * 56 + 17))
+    nmsgs = 3 * 41
+    msgs = [bytes((i * 13 + k) % 256 for i in range(SLOT_PAYLOAD - k % 5))
+            for k in range(nmsgs)]
     got = {}
 
     def sender():
-        for k in range(3):
-            yield from ep_ab.send(payload[k:])
+        for k, msg in enumerate(msgs):
+            yield from ep_ab.send(msg)
             got[f"sent{k}"] = sim.now
         yield from ep_ab.flush()
 
     def receiver():
-        for k in range(3):
+        for k in range(nmsgs):
             got[k] = yield from ep_ba.recv()
             got[f"recv{k}"] = sim.now
 
@@ -732,8 +717,8 @@ def _msglib_weak_send(fast):
 
 
 def test_msglib_per_slot_weak_send_exact():
-    slow = _msglib_weak_send(fast=False)
-    fast = _msglib_weak_send(fast=True)
+    slow = _msglib_weak_send("packet")
+    fast = _msglib_weak_send("macro")
     for key in ("t_end", "got", "stats", "counters"):
         assert slow[key] == fast[key], key
     assert fast["train_lines"] > 100, "slot stores never rode a window"
@@ -745,12 +730,12 @@ def test_latency_sweep_point_exact():
     from repro.bench.microbench import make_prototype, run_latency_sweep
 
     points = {}
-    for fast in (False, True):
+    for fidelity in ("packet", "macro"):
         system = make_prototype()
-        system.sim.features.adaptive_fidelity = fast
-        points[fast] = run_latency_sweep(sizes=(512,), iters=6,
-                                         system=system)
+        system.sim.features.fidelity = fidelity
+        points[fidelity] = run_latency_sweep(sizes=(512,), iters=6,
+                                             system=system)
         nb = system.cluster.ranks[system.cluster.rank_of(0, 1)].chip.nb
         lines = nb.counters.get("train_lines")
-    assert points[False] == points[True]
+    assert points["packet"] == points["macro"]
     assert lines >= 6 * 512 // CACHELINE
