@@ -161,8 +161,7 @@ class _Direction:
         self._train = None
         #: Active flow-level macro flow owning this direction
         #: (repro.sim.flows); same demote-on-foreign-interaction contract
-        #: as trains.  Flows with ``absorbs`` set additionally intercept
-        #: deliveries on their in-direction (multi-hop forwarding).
+        #: as trains.
         self._flow = None
         #: Burst-window deliveries pushed into the calendar but not yet
         #: past their serialization end: (cancel_seq, ser_end, pkt, vc).
@@ -388,14 +387,6 @@ class _Direction:
 
     def _deliver(self, pkt: Packet, vc: VirtualChannel) -> None:
         link = self.link
-        f = self._flow
-        if f is not None and f.absorbs and f.d_in is self:
-            # A forwarding flow absorbs matching packets at the delivery
-            # point; a surprise packet demotes it first (abort reproduces
-            # the rx loop's residual busy window) and then takes the
-            # ordinary path below.
-            if f.offer(pkt):
-                return
         if link.tracer.enabled:
             # Keep the deferred wake so the rx trace record lands before
             # any receiver reaction at the same timestamp.
@@ -506,11 +497,8 @@ class Link:
         if d._train is not None:
             d._train.abort(self.sim._now)
         f = d._flow
-        if f is not None and not (f.absorbs and f.d_in is d):
-            # A foreign send invalidates a planned TX schedule -- but an
-            # absorbing flow's in-direction transmits per-packet (the
-            # sender upstream is exactly who feeds the flow), so sends
-            # into it are expected traffic, filtered at delivery instead.
+        if f is not None:
+            # A foreign send invalidates a planned TX schedule.
             f.abort(self.sim._now)
         return d.txq[pkt.vc].put(pkt)
 
@@ -521,7 +509,7 @@ class Link:
         if d._train is not None:
             d._train.abort(self.sim._now)
         f = d._flow
-        if f is not None and not (f.absorbs and f.d_in is d):
+        if f is not None:
             f.abort(self.sim._now)
         return d.txq[pkt.vc].try_put(pkt)
 

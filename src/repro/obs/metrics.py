@@ -320,6 +320,11 @@ class FlowCounters:
     are not part of the golden distilled metrics: they describe how much
     of the workload rode a fast path (the macro-event hit rate published
     per scenario by ``benchmarks/bench_wallclock.py``), not the model.
+
+    ``forward_packets`` and ``forward_demotions`` always read 0:
+    multi-hop forwarding has no macro plane (it runs per packet, which
+    measured faster than a forwarding flow), but the benchmark probe
+    (``perfbench/probe.py``) reads both counters by name.
     """
 
     __slots__ = (
@@ -328,7 +333,6 @@ class FlowCounters:
         "read_windows",
         "read_reads",
         "read_demotions",
-        "forward_windows",
         "forward_packets",
         "forward_demotions",
     )

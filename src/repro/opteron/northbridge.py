@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..ht.link import Link, LinkDownError, LinkSide, LinkState
+from ..ht.link import Link, LinkDownError, LinkState
 from ..ht.packet import Command, Packet, make_read, make_read_response, make_target_done, pool_for
 from ..ht.tags import ResponseMatchingTable, UnroutableResponseError
 from ..obs.metrics import fault_counters, flow_counters, metrics_for
@@ -763,7 +763,6 @@ class Northbridge:
                     yield from self._local_access(pkt, port)
             elif r.kind in (RouteKind.MMIO_LOCAL_LINK, RouteKind.MMIO_REMOTE,
                             RouteKind.DRAM_REMOTE):
-                coh0 = pkt.coherent
                 if r.kind is RouteKind.MMIO_LOCAL_LINK:
                     out_port = r.dst_link
                     if pkt.coherent:
@@ -777,24 +776,6 @@ class Northbridge:
                 if out_port == port:
                     counters_inc("routing_loops")
                     continue
-                if (self.sim.features.macro
-                        and pkt.cmd is Command.WRITE_POSTED
-                        and pkt.mask is None
-                        and not (coh0
-                                 and r.kind is RouteKind.MMIO_LOCAL_LINK)):
-                    # Multi-hop forwarding fast path: promote while the
-                    # out direction is still quiescent; the flow absorbs
-                    # this packet and the rest of the run at the delivery
-                    # point.
-                    from ..sim.flows import ForwardFlow
-
-                    d_in = link._dirs[LinkSide.other(side)]
-                    b_out = self.chip.ports.get(out_port)
-                    if (b_out is not None
-                            and ForwardFlow.eligible(self, d_in, b_out, pkt)):
-                        ForwardFlow(self, d_in, b_out, out_port, pkt)
-                        counters_inc("forwarded")
-                        continue
                 try:
                     ev = self._send_on_port_fast(out_port, pkt)
                 except LinkDownError:

@@ -25,13 +25,6 @@ generalizes the pattern to the classes that still ran packet by packet:
   per-packet issue instant, so port arbitration against unrelated local
   traffic (receive-side polling!) stays exact.
 
-* **multi-hop forwarding** (:class:`ForwardFlow`): an intermediate
-  supernode absorbs same-route packets at the link delivery point and
-  re-emits them on the next hop with one calendar entry per packet,
-  instead of waking the rx loop, sleeping the forward latency and
-  running the transmit pump per packet.  Chained hop by hop this
-  propagates a macro flow across supernodes while the links stay clean.
-
 Contract (DESIGN.md section 12): a flow may only *promote* while every
 queue, credit pool and resource it would bypass is quiescent and
 deterministic; any foreign interaction -- a send on an owned link
@@ -47,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
-__all__ = ["plan_eager_span", "CommitSpan", "ReadFlow", "ForwardFlow"]
+__all__ = ["plan_eager_span", "CommitSpan", "ReadFlow"]
 
 _INF = float("inf")
 
@@ -481,10 +474,6 @@ class ReadFlow:
     counter effects at identical instants.
     """
 
-    #: ReadFlow owns directions for demotion but never intercepts
-    #: deliveries (see ForwardFlow.absorbs).
-    absorbs = False
-
     __slots__ = ("sim", "nb", "dest_nb", "dest_mc", "link", "req_d",
                  "rsp_d", "pkt", "addr", "length", "response", "t0",
                  "ser_req", "t_d1", "t_issue", "t_r", "ser_rsp", "rsp",
@@ -762,353 +751,3 @@ class ReadFlow:
             self._demoted = True
             if self._getter is None and self.rsp_d.rx._getters:
                 self._getter = self.rsp_d.rx._getters.popleft()
-
-
-# ---------------------------------------------------------------------------
-# Multi-hop forwarding
-# ---------------------------------------------------------------------------
-
-class ForwardFlow:
-    """Absorb a uniform run of same-route posted packets at an
-    intermediate supernode without waking its rx loop or transmit pump
-    per packet.
-
-    The hop's rx loop creates the flow after forwarding one packet the
-    per-packet way; subsequent deliveries on the same in-direction that
-    still route to the same out-port are intercepted at the link delivery
-    point (:meth:`offer`), the crossbar forward latency and the out-link
-    serializer chain are computed arithmetically, and one delivery entry
-    per packet lands on the next hop -- where the next hop's rx loop
-    creates its own flow, chaining the macro across supernodes.
-
-    Eligibility pins the case where the arithmetic is a theorem: equal
-    link rates and uniform wire size make the out serializer gap-free
-    (each departure starts exactly when the previous serialization ends),
-    so the phy is held across the window and released exactly when the
-    per-packet pump would go idle; an in-link serialization no shorter
-    than the forward latency means the rx loop always re-parks before the
-    next arrival, so per-packet pop instants equal arrival instants.  The
-    route is re-sampled per packet, so an interval-routing update closes
-    the flow instead of misforwarding.
-
-    Demotion: not-yet-departed packets are handed to the real pump at
-    their exact pop instants, an in-flight serialization completes with
-    the phy held and then delivers or NAKs per link state, on-cable
-    deliveries stand, and the rx loop's residual busy window is
-    reproduced by stealing its parked getter until the window closes.
-    An idle flow (chain drained, nothing pending) closes itself so
-    trains and other flows can claim the directions again.
-    """
-
-    absorbs = True
-
-    __slots__ = ("sim", "nb", "d_in", "link_in", "d_out", "link_out",
-                 "out_port", "fwd", "ser_out", "wire", "_phy_held",
-                 "_last_end", "_last_arrival", "_rel_seq", "_pending",
-                 "_done")
-
-    @classmethod
-    def eligible(cls, nb, d_in, binding_out, pkt0) -> bool:
-        link_out = binding_out.link
-        link_in = d_in.link
-        if (link_out.state != "active" or link_out._ber > 0
-                or link_out.tracer.enabled or link_in.tracer.enabled
-                or nb._m.enabled):
-            return False
-        if link_out._rate != link_in._rate:
-            return False
-        if link_in.serialization_ns(pkt0) < nb.timing.nb_forward_ns:
-            return False
-        d_out = link_out._dirs[binding_out.side]
-        if d_out._train is not None or d_out._flow is not None:
-            return False
-        if d_in._train is not None or d_in._flow is not None:
-            return False
-        if d_out.phy._in_use or d_out.phy._waiters:
-            return False
-        for vc, q in d_out.txq.items():
-            if q._items or len(q._getters) != 1:
-                return False
-            cred = d_out.credits[vc]
-            if cred._credits != cred.initial:
-                return False
-        # Called from inside the hop's rx loop (it is running, not
-        # parked): the in-direction must have no backlog -- queued
-        # packets would be processed per-packet behind freshly absorbed
-        # ones, reordering the stream -- and no other consumer.
-        if d_in.rx._items or d_in.rx._getters:
-            return False
-        # Admission: the in-direction must already show the next packet,
-        # and it must take the same route.  A flow opened on a lone packet
-        # absorbs only the trigger and demotes on the next arrival (an
-        # interleaved stream for this node, say) -- pure churn.
-        nxt = cls._successor(d_in, nb.sim._now)
-        return nxt is not None and cls._routes_out(
-            nb, binding_out.port, pkt0.wire_bytes(link_in._crc_bytes),
-            link_in._crc_bytes, nxt)
-
-    @staticmethod
-    def _successor(d_in, now: float):
-        """The next packet visible on ``d_in``: the head of the burst
-        deliveries still on the wire or, failing that, the head of the
-        sender's TX queue (a per-packet serialization in flight is not
-        inspectable and is skipped).  ``None`` when nothing is visible or
-        two virtual channels are queued (arrival order still open)."""
-        prop = d_in.link.propagation_ns
-        for _seq, end, p, _vc in d_in._burst_fly:
-            if end + prop > now:
-                return p
-        head = None
-        for q in d_in.txq.values():
-            if q._items:
-                if head is not None:
-                    return None
-                head = q._items[0]
-        return head
-
-    def __init__(self, nb, d_in, binding_out, out_port, pkt0):
-        from ..obs.metrics import flow_counters
-
-        sim = nb.sim
-        self.sim = sim
-        self.nb = nb
-        self.d_in = d_in
-        self.link_in = d_in.link
-        self.link_out = binding_out.link
-        self.d_out = binding_out.link._dirs[binding_out.side]
-        self.out_port = out_port
-        self.fwd = nb.timing.nb_forward_ns
-        self.ser_out = self.link_out.serialization_ns(pkt0)
-        self.wire = pkt0.wire_bytes(self.link_in._crc_bytes)
-        self._phy_held = False
-        # The trigger packet arrived one forward latency ago (the rx loop
-        # just finished its busy window for it).
-        self._last_arrival = sim._now - self.fwd
-        self._rel_seq = None
-        #: (pkt, depart_start, depart_end) not yet past serialization.
-        self._pending = []
-        self._done = False
-        d_in._flow = self
-        self.d_out._flow = self
-        fl = flow_counters(sim)
-        fl.forward_windows += 1
-        # Absorb the trigger itself: the direction was fully quiescent, so
-        # the per-packet pump would pop it at this very instant -- take
-        # its credit and serializer window here instead.
-        now = sim._now
-        self.d_out.credits[pkt0.vc].try_take()
-        self.d_out.phy.try_acquire()
-        self._phy_held = True
-        e = now + self.ser_out
-        self._last_end = e
-        seq = sim._push_cancellable(e + self.link_out.propagation_ns,
-                                    self._deliver_one, (pkt0,))
-        self._pending.append((pkt0, now, e, seq))
-        fl.forward_packets += 1
-        self._rel_seq = sim._push_cancellable(e, self._maybe_release, None)
-
-    def wants(self, pkt) -> bool:
-        return self._routes_out(self.nb, self.out_port, self.wire,
-                                self.link_in._crc_bytes, pkt)
-
-    @staticmethod
-    def _routes_out(nb, out_port, wire, crc, pkt) -> bool:
-        """``pkt`` is a plain posted write of ``wire`` bytes that ``nb``
-        forwards out of ``out_port``."""
-        from ..ht.packet import Command
-        from ..opteron.northbridge import MasterAbort, RouteKind
-
-        if pkt.cmd is not Command.WRITE_POSTED or pkt.mask is not None:
-            return False
-        if pkt.wire_bytes(crc) != wire:
-            return False
-        try:
-            r = nb.route(pkt.addr)
-            if not r.writable:
-                return False
-            if r.kind is RouteKind.MMIO_LOCAL_LINK:
-                # Coherent packets pay an extra IO-bridge conversion (and
-                # are rewritten non-coherent) on this branch: per-packet.
-                if pkt.coherent:
-                    return False
-                return r.dst_link == out_port
-            if r.kind is RouteKind.DRAM_REMOTE or r.kind is RouteKind.MMIO_REMOTE:
-                return nb._fabric_port_for(r.dst_node) == out_port
-            return False
-        except MasterAbort:
-            return False
-
-    def offer(self, pkt) -> bool:
-        """Called by the in-direction's delivery point.  True: absorbed.
-        False: the flow demoted itself first and the packet must take the
-        ordinary delivery path."""
-        from ..obs.metrics import flow_counters
-
-        sim = self.sim
-        now = sim._now
-        if not self.wants(pkt):
-            self.abort(now)
-            return False
-        if not self.d_out.credits[pkt.vc].try_take():
-            # Pool drained (credit theft / slow next hop): the per-packet
-            # pump would stall here -- demote and let it.
-            self.abort(now)
-            return False
-        self.d_in.credits[pkt.vc].give()        # rx-loop consumption
-        self._last_arrival = now
-        s = now + self.fwd
-        if s < self._last_end:
-            s = self._last_end
-        e = s + self.ser_out
-        self._last_end = e
-        if not self._phy_held:
-            self.d_out.phy.try_acquire()
-            self._phy_held = True
-        seq = sim._push_cancellable(e + self.link_out.propagation_ns,
-                                    self._deliver_one, (pkt,))
-        self._pending.append((pkt, s, e, seq))
-        self.nb.counters.inc("forwarded")
-        flow_counters(sim).forward_packets += 1
-        if self._rel_seq is None:
-            self._rel_seq = sim._push_cancellable(e, self._maybe_release,
-                                                  None)
-        return True
-
-    def _deliver_one(self, pkt) -> None:
-        """Arrival at the next hop: apply the packet's TX stats (due at
-        its serialization end, applied lazily here) and hand it over."""
-        pend = self._pending
-        if pend and pend[0][0] is pkt:
-            pend.pop(0)
-        stats = self.d_out.stats
-        stats.packets += 1
-        stats.payload_bytes += len(pkt.data)
-        stats.wire_bytes += pkt.wire_bytes(self.link_out._crc_bytes)
-        stats.busy_ns += self.ser_out
-        self.d_out._deliver(pkt, pkt.vc)
-
-    def _maybe_release(self, _=None) -> None:
-        """Serializer-chain end: release the phy exactly when the
-        per-packet pump would go idle, re-arming while the chain keeps
-        extending; a fully drained flow closes itself."""
-        self._rel_seq = None
-        if self._done:
-            return
-        now = self.sim._now
-        if self._last_end > now:
-            self._rel_seq = self.sim._push_cancellable(
-                self._last_end, self._maybe_release, None)
-            return
-        if self._phy_held:
-            self.d_out.phy.release()
-            self._phy_held = False
-        if not self._pending:
-            self.close()
-
-    def close(self) -> None:
-        """Quiet shutdown (chain drained): on-cable deliveries stand."""
-        if self._done:
-            return
-        self._done = True
-        self._release_dirs()
-        if self._rel_seq is not None:
-            self.sim._cancel(self._rel_seq)
-            self._rel_seq = None
-        if self._phy_held:
-            if self._last_end <= self.sim._now:
-                self.d_out.phy.release()
-                self._phy_held = False
-            else:
-                self.sim._push(self._last_end, self._final_release, None)
-
-    def _release_dirs(self) -> None:
-        if self.d_in._flow is self:
-            self.d_in._flow = None
-        if self.d_out._flow is self:
-            self.d_out._flow = None
-
-    def _final_release(self, _=None) -> None:
-        if self._phy_held:
-            self.d_out.phy.release()
-            self._phy_held = False
-
-    def abort(self, T: float) -> None:
-        """Demote: reconstruct the out direction's per-packet state and
-        the rx loop's residual busy window."""
-        if self._done:
-            return
-        from ..obs.metrics import flow_counters
-
-        flow_counters(self.sim).forward_demotions += 1
-        self._done = True
-        self._release_dirs()
-        sim = self.sim
-        if self._rel_seq is not None:
-            sim._cancel(self._rel_seq)
-            self._rel_seq = None
-        inflight_end = None
-        for pkt, s, e, seq in self._pending:
-            if e <= T:
-                continue                    # on the cable: entry stands
-            sim._cancel(seq)
-            if s <= T:
-                # Mid-serialization: complete the window with the phy
-                # held; the entry at its end delivers or replays the NAK
-                # dance per the link state *then* (exactly the pump).
-                inflight_end = e
-                self._finish_inflight(pkt, e)
-            else:
-                # Not yet popped by the pump: hand it back at the exact
-                # per-packet pop instant.
-                self.d_out.credits[pkt.vc].give()
-                sim._push(s, self._repump, (pkt,))
-        self._pending = []
-        if self._phy_held:
-            if inflight_end is None:
-                self.d_out.phy.release()
-                self._phy_held = False
-            # else: _finish_inflight releases at the window end.
-        # The rx loop would still be busy with the last absorbed packet's
-        # crossbar latency: steal its parked getter until the window
-        # closes so a chasing foreign delivery queues exactly as it
-        # would per-packet.
-        t_busy = self._last_arrival + self.fwd
-        rx = self.d_in.rx
-        if t_busy > T and rx._getters:
-            getter = rx._getters.popleft()
-
-            def _unpark(_=None):
-                rx._getters.appendleft(getter)
-                rx._wake_getter()
-
-            sim._push(t_busy, _unpark, None)
-
-    def _finish_inflight(self, pkt, ser_end) -> None:
-        sim = self.sim
-
-        def _end(_=None):
-            link = self.link_out
-            stats = self.d_out.stats
-            stats.busy_ns += self.ser_out
-            if self._phy_held:
-                self.d_out.phy.release()
-                self._phy_held = False
-            if link.state == "active":
-                stats.packets += 1
-                stats.payload_bytes += len(pkt.data)
-                stats.wire_bytes += pkt.wire_bytes(link._crc_bytes)
-                sim._push(sim._now + link.propagation_ns,
-                          self.d_out._deliver, (pkt, pkt.vc))
-            else:
-                self.d_out.credits[pkt.vc].give()
-                q = self.d_out.txq[pkt.vc]
-                q.unget(pkt)
-                q._wake_getter()
-
-        sim._push(ser_end, _end, None)
-
-    def _repump(self, pkt) -> None:
-        q = self.d_out.txq[pkt.vc]
-        q.unget(pkt)
-        q._wake_getter()
-

@@ -36,7 +36,7 @@ The 5300 MB/s hump exists because the microbenchmark times the *store
 stream retiring*, which runs ahead of the link while posted-write buffering
 (store queue + WC buffers + SRQ + HT retry buffers + the L3-assisted
 behaviour the paper alludes to: "leverages caching structures within the
-Opteron") absorbs the burst.  We model the aggregate as a posted-write
+Opteron") soaks up the burst.  We model the aggregate as a posted-write
 buffer of 2048 packets (128 KiB), which places the measured peak exactly at
 the 256 KB point as in Figure 6.
 """

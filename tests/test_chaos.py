@@ -114,8 +114,7 @@ def run_chaos(topo_factory, plan: FaultPlan,
     out.end_ns = cl.sim.now
     out.bytes_received = ep_b.stats.bytes_received
     fl = flow_counters(cl.sim)
-    out.macro_windows = (fl.slot_windows + fl.read_windows
-                         + fl.forward_windows)
+    out.macro_windows = fl.slot_windows + fl.read_windows
     return out
 
 
@@ -422,8 +421,7 @@ def test_chaos_sweep(seed, fidelity):
 # first TransportError -- this one models an application that *retries*:
 # crash windows are drawn longer than the send deadline, so the sender's
 # peer-dead verdict is guaranteed to fire and recovery must go through
-# the in-band HELLO/HELLO-ACK session handshake.  No test here ever
-# calls the deprecated ``Endpoint.revive()``.
+# the in-band HELLO/HELLO-ACK session handshake.
 # ---------------------------------------------------------------------------
 
 REJOIN_MSGS = 40
@@ -581,7 +579,7 @@ def test_rejoin_chaos_replays_identically():
 @pytest.mark.parametrize("seed", range(50))
 def test_rejoin_chaos_sweep(seed):
     """The acceptance sweep: 50 seeded crash/rejoin plans under
-    sustained load, all oracles, zero manual ``revive()`` calls."""
+    sustained load, all oracles."""
     out = run_rejoin_chaos(seed)
     check_rejoin_oracles(out)
 

@@ -3,11 +3,9 @@
 The chaos harness (``test_chaos.py``) proves the end-to-end property;
 these tests pin the individual contracts: the HELLO/feedback wire
 format, the lost-volatile-state model of ``crash_node``, the epoch
-handshake itself, the deprecated ``revive()`` escape hatch, and the
-injector's up-front plan validation.
+handshake itself, the fail-fast error of an endpoint that cannot run
+it, and the injector's up-front plan validation.
 """
-
-import warnings
 
 import pytest
 
@@ -31,8 +29,8 @@ CFG = dict(send_deadline_ns=2e5, recv_deadline_ns=5e5,
            retransmit_base_ns=50_000.0)
 
 
-def _pair(session_handshake: bool = True):
-    cfg = MsgConfig(session_handshake=session_handshake, **CFG)
+def _pair():
+    cfg = MsgConfig(**CFG)
     cl = TCCluster(chain(2), msg_cfg=cfg, memory_bytes=64 * MiB).boot()
     return cl, cl.library(0).connect(1), cl.library(1).connect(0)
 
@@ -129,8 +127,8 @@ def test_crash_discard_drops_unacked_retransmit_images():
 
 def test_handshake_resynchronizes_after_crash_rejoin():
     """Crash the receiver long enough to expire the send deadline; the
-    sender's retry must resynchronize via HELLO/HELLO-ACK with zero
-    ``revive()`` calls and deliveries must resume gap-free."""
+    sender's retry must resynchronize via HELLO/HELLO-ACK and deliveries
+    must resume gap-free."""
     cl, ep_a, ep_b = _pair()
     # The crash must land mid-stream (one message costs ~600 ns here).
     plan = (FaultPlan()
@@ -198,54 +196,31 @@ def test_reconnect_times_out_with_session_reset_when_peer_stays_dead():
     assert ep_a.peer_dead
 
 
-def test_handshake_disabled_requires_deprecated_revive():
-    """The legacy escape hatch: with ``session_handshake=False`` a dead
-    session fails fast and only a manual ``revive()`` (now deprecated)
-    reopens it.  ``revive`` keeps the cursors, so it only works for an
-    endpoint that attempted nothing while the peer was down -- the
-    contract the handshake exists to remove."""
-    cl, ep_a, ep_b = _pair(session_handshake=False)
+def test_unreliable_endpoint_fails_fast_after_crash():
+    """Without a deadline the endpoint cannot run the session handshake:
+    after ``crash_node`` a send fails fast with a typed error, and the
+    verdict stands across the rejoin."""
+    cl = TCCluster(chain(2), msg_cfg=MsgConfig(), memory_bytes=64 * MiB).boot()
+    ep_b = cl.library(1).connect(0)
     cl.crash_node(1)
-    # The victim's own endpoint knows immediately (crash_discard).
     assert ep_b.peer_dead
 
     def dead():
         try:
             yield from ep_b.send(b"z" * 64)
         except TransportError as exc:
-            return str(exc)
+            return exc
 
-    msg = _drive(cl, dead, horizon_ns=5e6)["value"]
-    assert msg and "handshake disabled" in msg
+    exc = _drive(cl, dead)["value"]
+    assert type(exc) is TransportError
+    assert "declared dead" in str(exc) and "revive" not in str(exc)
 
     def rejoin():
         yield from cl.rejoin_node(1)
 
-    _drive(cl, rejoin, horizon_ns=5e6)
-    with pytest.warns(DeprecationWarning):
-        ep_b.revive()
-    assert not ep_b.peer_dead
-
-    got = []
-
-    def resumed_rx():
-        data = yield from ep_a.recv()
-        got.append(data)
-
-    def resumed_tx():
-        yield from ep_b.send(b"w" * 64)
-
-    cl.sim.process(resumed_rx(), name="resumed-rx")
-    _drive(cl, resumed_tx, horizon_ns=5e6)
-    assert got == [b"w" * 64]
-
-
-def test_revive_warns_even_when_session_is_healthy():
-    _, ep_a, _ = _pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DeprecationWarning):
-            ep_a.revive()
+    _drive(cl, rejoin)
+    assert ep_b.peer_dead
+    assert type(_drive(cl, dead)["value"]) is TransportError
 
 
 # ---------------------------------------------------------------------------
