@@ -45,12 +45,16 @@ model's accuracy.  Scenarios:
 * ``collectives``    -- a 64 KiB allreduce across 16 ranks on
   torus2d(4,4): bandwidth-optimal ring (Hamiltonian single-hop
   embedding, flow-span bulk phases) vs binomial reduce+broadcast,
-  oracle-checked; the ring run's event count is gated.
+  oracle-checked.  The ring runs in packet mode and in macro mode,
+  best of ``COLLECTIVES_REPEATS`` each with the spread; the macro run's
+  event count (``collectives_events_max``) and its wall-clock payoff
+  (``collectives_payoff_min_x``) are gated.
 * ``boot_amortization`` -- cold boot vs boot-image restore on
-  mesh2d(4,4) and torus3d(4,4,4): per-phase wall clock (construct /
-  boot protocol / restore), calendar-entry counts, and the end-to-end
-  ratio of an N-point same-signature sweep built from one image; the
-  restore-drain event counts are gated (``boot_restore_events_max``).
+  mesh2d(4,4) and torus3d(4,4,4): best-of-N wall clock with spread per
+  path (construct / cold boot / restore), calendar-entry counts, and
+  the end-to-end ratio of an N-point same-signature sweep built from
+  one image; the restore-drain event counts are gated
+  (``boot_restore_events_max``).
 
 Emits ``BENCH_wallclock.json`` (repo root by default) with runtime,
 events executed, heap pushes, and events/sec per scenario, plus speedups
@@ -137,6 +141,9 @@ READ_CHAIN_BYTES = 256 * KiB
 #: Array bytes per rank for the collectives scenario (a 64 KiB allreduce
 #: on 16 torus ranks -- deep in the bandwidth-algorithm regime).
 COLLECTIVES_BYTES = 64 * KiB
+
+#: Best-of-N repeats per fidelity for the collectives ring payoff.
+COLLECTIVES_REPEATS = 3
 
 
 def bench_canonical():
@@ -602,14 +609,18 @@ def _train_counters(cl, ranks):
 
 def _best_of_alternating(run, repeats):
     """Best wall clock of ``run("packet")`` and ``run("macro")``,
-    alternating the two so both see the same machine load."""
-    best = {}
+    alternating the two so both see the same machine load; each best run
+    also carries the slowest one (``runtime_max_s``) as its spread."""
+    best, worst = {}, {}
     for _ in range(repeats):
         for fidelity in ("packet", "macro"):
             r = run(fidelity)
             if (fidelity not in best
                     or r["runtime_s"] < best[fidelity]["runtime_s"]):
                 best[fidelity] = r
+            worst[fidelity] = max(worst.get(fidelity, 0.0), r["runtime_s"])
+    for fidelity, r in best.items():
+        r["runtime_max_s"] = worst[fidelity]
     return best["packet"], best["macro"]
 
 
@@ -725,12 +736,27 @@ def bench_read_chain():
 #: Points per topology in the boot-amortization sweep comparison.
 BOOT_AMORT_POINTS = 8
 
+#: Best-of-N repeats per path in the boot-amortization comparison.
+BOOT_AMORT_REPEATS = 5
+
+
+def _best_of(fn, repeats):
+    """``(best, worst)`` wall clock of ``repeats`` calls of ``fn`` and the
+    last call's return value."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), max(times), out
+
 
 def bench_boot_amortization():
     """Cold boot vs boot-image restore, wall clock and calendar entries.
 
-    For mesh2d(4,4) and torus3d(4,4,4): time the three phases a sweep
-    point can be built from --
+    For mesh2d(4,4) and torus3d(4,4,4): time, best of
+    ``BOOT_AMORT_REPEATS`` each with the slowest run as spread, the three
+    ways a sweep point can be built --
 
     * ``construct`` -- the object graph alone (chips, links, firmware
       plans); identical work on both paths,
@@ -739,68 +765,60 @@ def bench_boot_amortization():
       :class:`~repro.cluster.snapshot.BootImage` (start/drain, state
       restore, clock rebase); **no** boot protocol simulation.
 
-    ``boot_phase_x`` divides what the image skips (cold minus construct)
-    by what restore adds instead (restore minus construct); ``sweep_x``
-    is the end-to-end ratio of an N-point same-signature sweep: N cold
-    boots vs one cold boot + capture + N restores.  Restore-drain event
-    counts are deterministic and gated (``boot_restore_events_max``):
-    a restore must stay a startup drain, never a re-simulated boot.
+    ``boot_x`` is cold over restore, two whole best-of-N timings (a
+    ratio of differences against ``construct`` swung 6-36x between runs
+    of the same code).  ``sweep_x`` is the end-to-end ratio of an
+    N-point same-signature sweep: N cold boots vs one cold boot +
+    capture + N restores.  Restore-drain event counts are deterministic
+    and gated (``boot_restore_events_max``): a restore must stay a
+    startup drain, never a re-simulated boot.
     """
     from repro.cluster.snapshot import capture_image, restore_image
     from repro.cluster.system import TCCluster
     from repro.topology import mesh2d, torus3d
 
+    n_rep = BOOT_AMORT_REPEATS
     out = {}
     restore_events_total = 0
     for name, factory in (("mesh_4x4", lambda: mesh2d(4, 4)),
                           ("torus_4x4x4", lambda: torus3d(4, 4, 4))):
-        constructs = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            TCCluster(factory())
-            constructs.append(time.perf_counter() - t0)
-        construct = min(constructs)
+        construct, construct_max, _ = _best_of(
+            lambda: TCCluster(factory()), n_rep)
 
-        colds = []
-        for _ in range(2):
-            t0 = time.perf_counter()
+        def cold_boot():
             cl = TCCluster(factory())
             cl.boot()
             cl.sim.run()
-            colds.append(time.perf_counter() - t0)
-        cold = min(colds)
+            return cl
+
+        cold, cold_max, cl = _best_of(cold_boot, n_rep)
         boot_events = cl.sim.event_count
 
         t0 = time.perf_counter()
         image = capture_image(cl)
         capture = time.perf_counter() - t0
 
-        restores = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            restored = restore_image(image)
-            restores.append(time.perf_counter() - t0)
-        restore = min(restores)
+        restore, restore_max, restored = _best_of(
+            lambda: restore_image(image), n_rep)
         assert restored.restored_from_image
         restore_events = restored.restore_event_count
         restore_events_total += restore_events
 
-        # Both paths pay construction; the phases compare what each adds
-        # on top.  Clamp at a fraction of the restore time so timer noise
-        # on the shared construct measurement cannot inflate the ratio.
-        boot_phase = cold - construct
-        restore_phase = max(restore - construct, restore * 0.05)
         n = BOOT_AMORT_POINTS
         cold_sweep = n * cold
         image_sweep = cold + capture + n * restore
         out[name] = {
+            "repeats": n_rep,
             "construct_s": round(construct, 4),
+            "construct_max_s": round(construct_max, 4),
             "cold_boot_s": round(cold, 4),
+            "cold_boot_max_s": round(cold_max, 4),
             "restore_s": round(restore, 4),
+            "restore_max_s": round(restore_max, 4),
             "capture_s": round(capture, 4),
             "boot_events": boot_events,
             "restore_events": restore_events,
-            "boot_phase_x": round(boot_phase / restore_phase, 2),
+            "boot_x": round(cold / restore, 2),
             "events_x": round(boot_events / restore_events, 2),
             "sweep_points": n,
             "cold_sweep_s": round(cold_sweep, 4),
@@ -811,36 +829,76 @@ def bench_boot_amortization():
     return out
 
 
+def _run_collectives(fidelity: str):
+    """One ring allreduce of ``COLLECTIVES_BYTES`` per rank on a freshly
+    booted torus2d(4,4) under ``fidelity``; times the collective only
+    (construction and boot are the same work in both modes)."""
+    from repro.bench.sweep_points import _collective_cfg, _drive_collective
+    from repro.middleware import Communicator
+    from repro.obs.metrics import flow_counters
+    from repro.topology import torus2d
+
+    sys_ = TCClusterSystem(torus2d(4, 4),
+                           msg_cfg=_collective_cfg(COLLECTIVES_BYTES))
+    sys_.sim.features.fidelity = fidelity
+    sys_.boot()
+    cl = sys_.cluster
+    comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
+    t0 = time.perf_counter()
+    elapsed, events = _drive_collective(sys_.sim, comms, "allreduce",
+                                        "ring", COLLECTIVES_BYTES)
+    wall = time.perf_counter() - t0
+    return {
+        "runtime_s": round(wall, 4),
+        "events": events,
+        "virtual_ns": elapsed,
+        "single_hop": comms[0].ring_single_hop,
+        "slot_windows": flow_counters(sys_.sim).slot_windows,
+        "train": _train_counters(cl, range(cl.nranks)),
+    }
+
+
 def bench_collectives():
     """The collective-algorithms scenario: a 64 KiB allreduce across 16
     ranks on torus2d(4,4), bandwidth-optimal ring vs binomial
-    reduce+broadcast (both oracle-checked inside ``collective_point``).
-    The runs are deterministic, so the ring run's calendar-entry count
-    gates the collective schedules, the Hamiltonian ring embedding and
-    the flow-span engagement at once (``collectives_events_max``)."""
+    reduce+broadcast (both oracle-checked).  The ring runs in packet and
+    in macro mode, alternated, best of ``COLLECTIVES_REPEATS`` each;
+    virtual time must match.  The runs are deterministic, so the macro
+    ring run's calendar-entry count gates the collective schedules, the
+    Hamiltonian ring embedding and the macro plane's engagement at once
+    (``collectives_events_max``), and ``speedup_x`` -- packet over macro
+    best-of-N wall clock -- is gated by ``collectives_payoff_min_x``."""
     from repro.bench.sweep_points import collective_point
 
-    t0 = time.perf_counter()
-    ring_pt = collective_point("allreduce", "ring", COLLECTIVES_BYTES,
-                               shape=(4, 4))
+    per_packet, macro = _best_of_alternating(_run_collectives,
+                                             COLLECTIVES_REPEATS)
+    assert per_packet["virtual_ns"] == macro["virtual_ns"], (
+        "macro mode changed the ring allreduce's virtual time: "
+        f"{per_packet['virtual_ns']} vs {macro['virtual_ns']}"
+    )
     binom_pt = collective_point("allreduce", "binomial", COLLECTIVES_BYTES,
                                 shape=(4, 4))
-    wall = time.perf_counter() - t0
-    assert ring_pt.ring_single_hop, "Hamiltonian embedding lost single-hop"
-    assert ring_pt.slot_windows > 0, "ring phases missed the span layer"
-    assert ring_pt.elapsed_ns < binom_pt.elapsed_ns, (
+    assert macro["single_hop"], "Hamiltonian embedding lost single-hop"
+    assert macro["slot_windows"] > 0, "ring phases missed the span layer"
+    assert macro["virtual_ns"] < binom_pt.elapsed_ns, (
         "ring allreduce no faster than binomial at 64 KiB"
     )
     return {
-        "runtime_s": round(wall, 4),
         "nranks": 16,
         "array_bytes": COLLECTIVES_BYTES,
-        "ring_elapsed_ns": ring_pt.elapsed_ns,
+        "repeats": COLLECTIVES_REPEATS,
+        "runtime_s": macro["runtime_s"],
+        "runtime_max_s": macro["runtime_max_s"],
+        "per_packet": per_packet,
+        "macro": macro,
+        "speedup_x": round(per_packet["runtime_s"] / macro["runtime_s"], 2),
+        "events_x": round(per_packet["events"] / macro["events"], 2),
+        "ring_elapsed_ns": macro["virtual_ns"],
         "binomial_elapsed_ns": binom_pt.elapsed_ns,
-        "ring_vs_binomial_x": round(binom_pt.elapsed_ns / ring_pt.elapsed_ns,
+        "ring_vs_binomial_x": round(binom_pt.elapsed_ns / macro["virtual_ns"],
                                     2),
-        "ring_slot_windows": ring_pt.slot_windows,
-        "events": ring_pt.events,
+        "ring_slot_windows": macro["slot_windows"],
+        "events": macro["events"],
         "binomial_events": binom_pt.events,
     }
 
@@ -910,8 +968,9 @@ def main(argv=None) -> int:
         "mesh_macro_x": scenarios["mesh_4x4"]["speedup_x"],
         "torus_ring_macro_x": scenarios["torus_ring"]["speedup_x"],
         "read_chain_macro_x": scenarios["read_chain"]["speedup_x"],
-        "boot_image_phase_x": {
-            k: v["boot_phase_x"]
+        "collectives_macro_x": scenarios["collectives"]["speedup_x"],
+        "boot_image_x": {
+            k: v["boot_x"]
             for k, v in scenarios["boot_amortization"].items()
             if isinstance(v, dict)
         },
@@ -987,6 +1046,9 @@ def main(argv=None) -> int:
              "torus-ring macro plane vs per-packet"),
             ("read_chain_payoff_min_x", scenarios["read_chain"]["speedup_x"],
              "read-chain ReadFlow vs per-packet reads"),
+            ("collectives_payoff_min_x",
+             scenarios["collectives"]["speedup_x"],
+             "collectives ring allreduce macro plane vs per-packet"),
         ]
         for key, got, label in payoffs:
             floor = baseline.get(key)

@@ -32,6 +32,8 @@ from .northbridge import RouteKind
 from .train import plan_train
 from .wc import WriteCombiner
 
+_INF = float("inf")
+
 if TYPE_CHECKING:  # pragma: no cover
     from .chip import OpteronChip
 
@@ -85,11 +87,15 @@ class CpuCore:
         if nlines and not addr % CACHELINE:
             # Full lines into a TCCluster window: open or extend the WC
             # stream window, whose packet train is closed-form arithmetic
-            # (repro.opteron.train); falls back per-packet on demotion.
+            # (repro.opteron.train), or ride an open window as one line
+            # inserted for another port; falls back per-packet on demotion.
             train = nb._train
             if train is None:
                 train = plan_train(self, addr, nlines)
             elif not train.admits(self, addr, nlines):
+                plan = train.inserts(self, addr, nlines)
+                if plan is not None:
+                    pos = yield from train.insert(addr, data, plan)
                 train = None
             if train is not None:
                 pos = yield from train.feed(addr, data, nlines)
@@ -102,23 +108,30 @@ class CpuCore:
             offset = (addr + pos) - line
             n = min(CACHELINE - offset, size - pos)
             # Core-side cost of pushing these bytes through the store queue
-            # into the WC buffer.
+            # into the WC buffer.  The submit below runs in that sleep's
+            # entry, pushed at ``pushed``: a stream window it demotes
+            # orders same-instant pipeline steps by it.
             if n == CACHELINE:
                 yield fill_ns
+                pushed = self.sim._now - fill_ns
                 if wc.store_line_stream(line):
                     # Streaming fast path: the line span goes straight to
                     # the SRQ as one posted write, skipping the FlushOp.
-                    ev = nb.submit_posted(line, mv[pos : pos + CACHELINE])
+                    ev = nb.submit_posted(line, mv[pos : pos + CACHELINE],
+                                          pushed=pushed)
                     if ev is not None:
                         yield ev
                     pos += CACHELINE
                     continue
             else:
-                yield fill_ns * n / CACHELINE
+                sleep = fill_ns * n / CACHELINE
+                yield sleep
+                pushed = self.sim._now - sleep
             for op in wc.store(addr + pos, mv[pos : pos + n]):
-                ev = nb.submit_posted(op.addr, op.data, op.mask)
+                ev = nb.submit_posted(op.addr, op.data, op.mask, pushed)
                 if ev is not None:
                     yield ev  # posted buffer full: wait for acceptance
+                    pushed = -_INF
             pos += n
 
     def _store_uc(self, addr: int, data: bytes):
@@ -133,17 +146,19 @@ class CpuCore:
             n = min(len(data) - pos, 8 - (a % 8))
             chunk = data[pos : pos + n]
             yield t.uc_store_ns
+            pushed = self.sim._now - t.uc_store_ns
             lo = (a // 4) * 4
             hi = ((a + n + 3) // 4) * 4
             if lo == a and hi == a + n:
-                ev = self.chip.nb.submit_posted(a, chunk)
+                ev = self.chip.nb.submit_posted(a, chunk, pushed=pushed)
             else:
                 container = bytearray(hi - lo)
                 mask = bytearray(hi - lo)
                 container[a - lo : a - lo + n] = chunk
                 for i in range(a - lo, a - lo + n):
                     mask[i] = 1
-                ev = self.chip.nb.submit_posted(lo, bytes(container), bytes(mask))
+                ev = self.chip.nb.submit_posted(lo, bytes(container),
+                                                bytes(mask), pushed)
             if ev is not None:
                 yield ev
             pos += n

@@ -336,18 +336,21 @@ class Northbridge:
     # CPU-side interface (the SRQ)
     # ------------------------------------------------------------------
     def submit_posted(self, addr: int, data: bytes,
-                      mask: Optional[bytes] = None) -> Optional[Event]:
+                      mask: Optional[bytes] = None,
+                      pushed: float = float("-inf")) -> Optional[Event]:
         """Accept a posted write from a core's WC/UC store path.
 
         Returns None when the packet is accepted into the posted buffer
         immediately (the store has 'left the processor' and the core may
         retire it); otherwise an event that fires on acceptance.  ``mask``
-        selects the sized-byte write form.
+        selects the sized-byte write form; ``pushed`` is the instant the
+        calendar entry running this submit was pushed, where the caller
+        knows it.
         """
         if self._train is not None:
             # A foreign submit invalidates the train's schedule: demote to
             # per-packet state before this packet touches the queue.
-            self._train.abort(self.sim._now)
+            self._train.abort(self.sim._now, pushed)
         pkt = self._pool.posted_write(addr, data, unitid=self.nodeid,
                                       coherent=True, mask=mask)
         pkt.inject_time = self.sim._now

@@ -39,6 +39,18 @@ first applies the deferred effects due by ``now`` and retires the prefix
 whose lines have left the wire and been committed, so an open window
 holds O(posted buffer + TX queue) lines however long the stream runs.
 
+**Inserted slots.**  One full-line WC store by the window's core into a
+TCCluster window that leaves by a *different*, quiescent local port --
+msglib's feedback line to the other ring neighbour, written by the
+receiving process while the sending process streams -- does not touch
+the window's link direction: it shares only the posted queue and the
+dispatcher.  :meth:`BulkTrain.inserts` admits it as one inserted
+dispatcher slot (fill, acceptance, pop plus one crossbar step, no
+serialization on the window's direction) at its acceptance position, so
+the lines behind it shift by that slot, and at its dispatch instant it
+runs as one real per-packet send on its own port.  The window claims
+that port's direction until then, so any foreign use of it demotes.
+
 **Demotion.**  The schedule is only valid while the window owns its
 queues.  Any foreign action that could perturb it -- another submit into
 the same northbridge (the storing core's own UC store or WC flush
@@ -46,7 +58,8 @@ included), any send on the same link direction, a link rate/BER/state
 change, an interrupt thrown into the storing core while it waits on a
 store -- calls :meth:`BulkTrain.abort`, which reconstructs the exact
 per-packet state at the abort instant ``T`` (queue contents, blocked
-putters, the dispatcher's in-flight packet, a mid-serialization phy
+putters, the dispatcher's in-flight packet (an inserted line's
+included), a mid-serialization phy
 hold, the receiver's busy conversion, the core mid-fill or blocked, or
 idle between stores) and falls back to per-packet simulation for the
 remainder; packets that left before the cut still commit from the
@@ -202,6 +215,25 @@ def plan_train(core: "CpuCore", addr: int,
     return BulkTrain(core, binding, d, ser, prop, rxs, lo, hi, proto)
 
 
+class _Insert:
+    """One inserted line's egress and its core's and dispatcher's
+    calendar entries."""
+
+    __slots__ = ("port", "dir", "fs", "accept", "wake", "done_seq", "seq",
+                 "accepted", "removed")
+
+    def __init__(self, port, direction, fs, accept):
+        self.port = port
+        self.dir = direction
+        self.fs = fs              # fill start (its fill sleep's push instant)
+        self.accept = accept
+        self.wake: Optional[Event] = None
+        self.done_seq = None      # the core's fill-end entry
+        self.seq = None           # the dispatcher's pending pop/send entry
+        self.accepted = False
+        self.removed = False
+
+
 class BulkTrain:
     """One aggregate-fidelity stream window (see module docstring).
 
@@ -239,13 +271,20 @@ class BulkTrain:
         self.capq = pq_cap if pq_cap is not None else _INF
         txq_cap = direction.txq[VirtualChannel.POSTED].capacity
         self.capt = txq_cap if txq_cap is not None else _INF
+        #: ``capt`` plus the retained inserted lines: the TX-queue
+        #: lookback distance in posted-line indices for the next append.
+        self._capt_p = self.capt
         self.wire_per_pkt = proto.wire_bytes(binding.link.timing.ht_crc_bytes)
         self.metrics_on = nb._m.enabled
         self._depth_series = f"{nb.name}.posted_q_depth"
         self._wake_name = f"{nb.name}.train"
         # Per-line schedule, indexed by global line number minus _base
         # (the retired prefix).  See _extend for the series' meaning.
+        # Every series but ``ss`` counts posted-queue lines, inserted
+        # ones included; ``ss`` counts only the window's own lines (its
+        # wire, and the commit span's line numbers), from ``_bw``.
         self._base = 0
+        self._bw = 0
         self.K = 0               # lines appended so far
         self.fs = []             # core fill start (push instant of the fill)
         self.fill_done = []
@@ -255,12 +294,21 @@ class BulkTrain:
         self.ss = []
         self._offs = []          # destination DRAM offset per line
         self._srcs = []          # (source memoryview, its offset origin)
+        # Inserted lines: retained global indices (sorted), their records,
+        # and the global index just past the last one sent.
+        self._ins = []
+        self._insd = {}
+        self._sent_mark = 0
+        #: Global indices of the window core's latest store's first and
+        #: last lines.
+        self._first = 0
+        self._last = -1
         self.t_end = 0.0         # the last line's acceptance
         self.t_final = 0.0       # the last line's receive-side commit
         # lifecycle
         self.done = False        # no further aborts possible
         self.aborted = False
-        self.cut = 0             # first packet index NOT owned by the train
+        self.cut = 0             # first window line NOT owned (set by abort)
         self._seen = 0           # lines whose acceptance the core observed
         self._filled = 0         # lines whose fill end the core observed
         # The core's pending entry: its instant, and the line whose
@@ -268,7 +316,10 @@ class BulkTrain:
         # slot it holds), or None.
         self._pend_at = 0.0
         self._pend_slot: Optional[int] = None
-        self._resuming = False   # the core runs inside its completion entry
+        #: The core runs inside its completion entry (pushed at its
+        #: store's last fill start): True; inside an inserted line's
+        #: acceptance entry: that entry's push instant; else False.
+        self._resuming = False
         self.resume_fills = 0
         self.resume_put: Optional[Event] = None
         self.wake: Optional[Event] = None
@@ -313,18 +364,18 @@ class BulkTrain:
 
         Retired lines (off the wire before the last retire's ``now``)
         cannot bind anything later, so a lookback into the retired prefix
-        is simply skipped.
+        is simply skipped.  The TX-queue lookback counts the window's own
+        lines only: inserted slots never enter its TX queue.
         """
         F, TS, SER = self.F, self.TS, self.ser
-        CAPQ, CAPT = self.capq, self.capt
+        CAPQ = self.capq
         fsl, fill_done, accept = self.fs, self.fill_done, self.accept
         pop, putc, ss = self.pop, self.putc, self.ss
         offs, srcs = self._offs, self._srcs
-        li = len(ss)
-        if li:
-            pc_prev, s_next = putc[-1], ss[-1] + SER
-        else:
-            pc_prev = s_next = -_INF
+        li = len(pop)
+        CAPT = self._capt_p  # ss[li - CAPT]: the CAPT-th previous wire line
+        pc_prev = putc[-1] if li else -_INF
+        s_next = ss[-1] + SER if ss else -_INF
         o = off0
         for _ in range(n):
             fd = fs + F
@@ -348,10 +399,49 @@ class BulkTrain:
             fs, pc_prev, s_next = a, pc, st + SER
             li += 1
         self.K += n
+        self._last = self._base + li - 1
         self.t_end = a
         # The last packet's receive-side commit: until then the window
         # owns the destination's receive loop too.
         self.t_final = st + self._mcw_off
+
+    def _insert(self, fs: float, off: int, src, plan) -> "_Insert":
+        """Splice one inserted line into the schedule at the posted
+        position ``plan`` (from :meth:`inserts`) found for it.  The lines
+        behind it -- the tail of the core's store in flight -- are taken
+        off and appended again, so the recurrence shifts their pops,
+        TX-queue puts and wire starts; their fills and acceptances stay."""
+        port, d, k, p = plan
+        g = self._base + k
+        ntail = len(self.pop) - k
+        if ntail:
+            tail = (self.fs[k], self._offs[k], self._srcs[k])
+            for lst in (self.fs, self.fill_done, self.accept, self.pop,
+                        self.putc, self._offs, self._srcs):
+                del lst[k:]
+            del self.ss[len(self.ss) - ntail:]
+            self.K -= ntail
+        a = fs + self.F
+        for lst, v in ((self.fs, fs), (self.fill_done, a), (self.accept, a),
+                       (self.pop, p), (self.putc, p + self.TS),
+                       (self._offs, off), (self._srcs, src)):
+            lst.append(v)
+        self.K += 1
+        self._ins.append(g)
+        self._capt_p += 1
+        rec = self._insd[g] = _Insert(port, d, fs, a)
+        d._train = self
+        rec.seq = self.sim._push_cancellable(p, self._ins_pop, (g,))
+        if self._pend_slot is not None and self._pend_slot >= g:
+            self._pend_slot += 1
+        if ntail:
+            self._extend(*tail, ntail)
+            mcw = self._mcw_off
+            self._span.retime(self._bw + len(self.ss) - ntail,
+                              [s + mcw for s in self.ss[-ntail:]])
+        if p + self.TS > self.t_final:
+            self.t_final = p + self.TS
+        return rec
 
     def _depth_sample(self, i: int) -> float:
         """Posted-queue depth the dispatcher would have tracked at pop
@@ -396,13 +486,15 @@ class BulkTrain:
         b = self._base
         self._apply(b + bisect_left(self.fill_done, T),
                     b + bisect_left(self.putc, T),
-                    b + bisect_left(self.ss, T), b + bisect_left(self.pop, T))
+                    self._bw + bisect_left(self.ss, T),
+                    b + bisect_left(self.pop, T))
 
     def _apply(self, nf: int, nm: int, ns: int, nd: int) -> None:
         """Apply WC stats, mmio_writes, link TX stats and depth metric
         samples for the first ``nf`` fills, ``nm`` TX-queue puts, ``ns``
-        serialization starts and ``nd`` dispatcher pops (chronological
-        per series, so live samples afterwards stay monotone)."""
+        serialization starts (window lines) and ``nd`` dispatcher pops
+        (chronological per series, so live samples afterwards stay
+        monotone)."""
         if nf > self._fills_applied:
             delta = nf - self._fills_applied
             wc = self.core.wc
@@ -434,29 +526,59 @@ class BulkTrain:
         or demotion can consult: lines off the wire before ``now`` whose
         destination commit has happened."""
         self._apply_until(now)
-        b = self._base
-        ss, SER, K = self.ss, self.ser, self.K
+        b, bw = self._base, self._bw
+        ss, SER = self.ss, self.ser
+        kw = bw + len(ss)
         w = self._off_wire
-        while w < K and ss[w - b] + SER < now:
+        while w < kw and ss[w - bw] + SER < now:
             w += 1
         self._off_wire = w
-        r = w
-        if self.metrics_on:
-            # The next depth sample looks back one pop and scans accepts.
-            r = min(r, self._depth_applied - 1, self._ja)
         # The retire batch is the commit span's flush point too (only
         # commits strictly before now: one at this instant may still trail
         # a same-instant read).
         self._span.flush_until(now, -_INF)
-        r = min(r, self._span._flushed)
+        rw = min(w, self._span._flushed) - bw
+        if self._ins:
+            # Keep an inserted line until it is sent.
+            r = b + min(self._posted(rw), bisect_left(self.putc, now))
+        else:
+            r = b + rw
+        if self.metrics_on:
+            # The next depth sample looks back one pop and scans accepts.
+            r = min(r, self._depth_applied - 1, self._ja)
         n = r - b
         if n >= _RETIRE_BATCH:
+            ins = self._ins
+            k = bisect_left(ins, r)
+            for g in ins[:k]:
+                del self._insd[g]
+            del ins[:k]
+            self._capt_p -= k
+            nw = n - k
             for lst in (self.fs, self.fill_done, self.accept, self.pop,
-                        self.putc, self.ss, self._offs, self._srcs):
+                        self.putc, self._offs, self._srcs):
                 del lst[:n]
+            del ss[:nw]
             self._base = b = r
+            self._bw = bw + nw
         # Next look once another batch has been appended.
         self._retain_check = self.K - b + _RETIRE_BATCH
+
+    def _wire(self, lp: int) -> int:
+        """Window lines among the first ``lp`` retained posted lines."""
+        if not self._ins:
+            return lp
+        return lp - bisect_left(self._ins, self._base + lp)
+
+    def _posted(self, lw: int) -> int:
+        """Retained posted index of retained window line ``lw`` (for
+        ``lw == len(ss)``: of the next window line)."""
+        b = self._base
+        for g in self._ins:
+            if g - b > lw:
+                break
+            lw += 1
+        return lw
 
     # ------------------------------------------------------------------
     # Appending / completion
@@ -467,12 +589,70 @@ class BulkTrain:
         retired (a second process storing through the core meanwhile is
         foreign traffic), same route range, route tables unchanged, WC
         streaming path open."""
-        return (core is self.core and self._seen == self.K
+        return (core is self.core and self._seen > self._last
                 and self._lo <= addr
                 and addr + nlines * CACHELINE <= self._hi
                 and self.nb._route_table is self._src_tbl
                 and self.dest_nb._route_table is self._dst_tbl
                 and _wc_clear(core.wc, addr, nlines))
+
+    def inserts(self, core, addr: int, nlines: int):
+        """For a store :meth:`admits` refused: the plan to splice it in as
+        one inserted slot, else None.
+
+        That takes one full line by this window's core into a writable
+        TCCluster window out of another local port whose direction is
+        unclaimed (or claimed by this window's earlier inserted lines),
+        ACTIVE, error-free and untraced, with room in its POSTED TX queue
+        for them and this one (nothing else can fill that queue before
+        the line's send without demoting the window first).  The core's
+        own store may still be in flight (msglib's receiving process
+        writes its feedback line while the sending process streams): the
+        line then lands between that store's lines by acceptance instant,
+        which must be unshared and unblocked so the core-side schedule
+        stays as it is.
+        """
+        if nlines != 1 or core is not self.core:
+            return None
+        r = self.nb.route(addr)
+        if (r.kind is not RouteKind.MMIO_LOCAL_LINK or not r.writable
+                or r.dst_link == self.port):
+            return None
+        binding = core.chip.ports.get(r.dst_link)
+        if binding is None:
+            return None
+        link = binding.link
+        dirs = getattr(link, "_dirs", None)
+        if (dirs is None or link.state != LinkState.ACTIVE or link.ber > 0
+                or link.tracer.enabled):
+            return None
+        d = dirs[binding.side]
+        q = d.txq[VirtualChannel.POSTED]
+        if (d._flow is not None or q._putters
+                or not _wc_clear(core.wc, addr, 1)):
+            return None
+        if d._train is None:
+            queued = 0
+        elif d._train is self:
+            queued = self._unsent(d)  # sent ahead of this one
+        else:
+            return None
+        if q.capacity is not None and (len(q._items) + queued
+                                       + (q._live_phantoms() if q._phantom
+                                          else 0)) >= q.capacity:
+            return None
+        accept, putc = self.accept, self.putc
+        n = len(putc)
+        if n >= self.capq:
+            return None  # the posted queue could block a line
+        a = self.sim._now + self.F
+        k = bisect_left(accept, a)
+        if k < n and accept[k] == a:
+            return None  # same-instant acceptance: its order is unknown
+        if self._ins and self._ins[-1] >= self._base + k:
+            return None  # only the core's store in flight may shift
+        p = putc[k - 1] if k and putc[k - 1] > a else a
+        return r.dst_link, d, k, p
 
     def feed(self, addr: int, data, nlines: int):
         """Append the store's ``nlines`` full lines and wait for the last
@@ -484,7 +664,7 @@ class BulkTrain:
         finished here exactly as the per-packet core would)."""
         sim = self.sim
         now = sim._now
-        first = self.K
+        first = self._first = self.K
         if first - self._base >= self._retain_check:
             self._retire(now)
         # Lines share their store's buffer: (span, origin) maps a line's
@@ -492,7 +672,6 @@ class BulkTrain:
         off0 = addr + self._off_delta
         src = (memoryview(data), off0)
         self._extend(now, off0, src, nlines)
-        self.cut = self.K
         nb = self.nb
         # All entries are speculative (a demotion revokes whatever part of
         # the precomputed future did not happen), so push them cancellable:
@@ -511,7 +690,7 @@ class BulkTrain:
         else:
             self._arm_core(self.fill_done[first - b], self._relay, first)
         off = self._mcw_off
-        self._span.append([s + off for s in ss[first - b:]],
+        self._span.append([s + off for s in ss[-nlines:]],
                           self._offs[first - b:], self._srcs[first - b:])
         if self._finalize_seq is None:
             self._finalize_seq = sim._push_cancellable(
@@ -525,12 +704,17 @@ class BulkTrain:
         if not self.aborted:
             return nlines * CACHELINE
         f = self.resume_fills
+        # Lines inserted among this store's are not its bytes; one taken
+        # out again before it moved the store's lines down.
+        first = self._first
+        ins = self._ins
+        f_own = f - bisect_left(ins, f) + bisect_left(ins, first)
         if self.resume_put is not None:
             # Line f-1 was submitted but not yet accepted; wait out the
             # acceptance like the per-packet core.
             yield self.resume_put
-            return (f - first) * CACHELINE
-        if f >= self.K:
+            return (f_own - first) * CACHELINE
+        if f > self._last:
             return nlines * CACHELINE
         # Mid-fill of line f at the abort instant: finish the fill, then
         # combine and submit that one line (its fill sleep already ran).
@@ -544,7 +728,59 @@ class BulkTrain:
             ev = nb.submit_posted(op.addr, op.data, op.mask)
             if ev is not None:
                 yield ev
-        return (f - first + 1) * CACHELINE
+        return (f_own - first + 1) * CACHELINE
+
+    def insert(self, addr: int, data, plan):
+        """Splice a one-line store in as an inserted slot (``plan`` from
+        :meth:`inserts`) and wait for its acceptance; generator driven
+        like :meth:`feed`, returning the bytes handled.
+
+        Its core entry is pushed here, where the per-packet core pushes
+        the line's fill sleep, and stands for that fill end.  A demotion
+        before it fires takes the line out of the window again; the line
+        is then submitted per packet from that entry."""
+        sim = self.sim
+        off = addr + self._off_delta
+        rec = self._insert(sim._now, off, (memoryview(data), off), plan)
+        rec.wake = Event(sim, name=self._wake_name)
+        rec.done_seq = sim._push_cancellable(rec.accept, self._ins_accept,
+                                             (rec,))
+        if self._finalize_seq is None:
+            self._finalize_seq = sim._push_cancellable(
+                self.t_final, self._finalize, None)
+        try:
+            yield rec.wake
+        except Interrupt:
+            # The fill is abandoned: the line never existed.
+            if rec.done_seq is not None:
+                sim._cancel(rec.done_seq)
+            if not self.done:
+                self.abort(sim.now)
+            raise
+        if rec.removed:
+            for op in self.core.wc.store(addr, data):
+                ev = self.nb.submit_posted(op.addr, op.data, op.mask, rec.fs)
+                if ev is not None:
+                    yield ev
+        return CACHELINE
+
+    def _unsent(self, d=None) -> int:
+        """Inserted lines not yet sent (into link direction ``d``)."""
+        return sum(1 for rec in self._insd.values()
+                   if rec.seq is not None and (d is None or rec.dir is d))
+
+    def _ins_accept(self, rec: "_Insert") -> None:
+        """An inserted line's fill end: unblocked, it is accepted here."""
+        rec.done_seq = None
+        if rec.removed:
+            rec.wake._succeed_inline()
+            return
+        rec.accepted = True
+        self._resuming = rec.fs
+        try:
+            rec.wake._succeed_inline()
+        finally:
+            self._resuming = False
 
     def _line_data(self, li: int):
         o = self._offs[li]
@@ -569,18 +805,22 @@ class BulkTrain:
         i = self._pend_slot
         if i is not None and self.fill_done[i - b] == now:
             self._filled = i + 1
-        last = self.K - 1
+        last = self._last
         if self.fs[last - b] <= now:
             self._arm_core(self.t_end, self._complete, last)
         else:
-            nxt = i is not None and self.fs[i + 1 - b] == now
-            self._arm_core(self.fs[last - b], self._relay,
-                           i + 1 if nxt else None)
+            if i is not None:
+                i += 1
+                while i in self._insd:
+                    i += 1  # the store's next line
+                if self.fs[i - b] != now:
+                    i = None
+            self._arm_core(self.fs[last - b], self._relay, i)
 
     def _complete(self, _=None) -> None:
         self._complete_seq = None
         if not self.aborted:
-            self._seen = self.K
+            self._seen = self._last + 1
         self._resuming = True
         try:
             self.wake._succeed_inline()
@@ -597,8 +837,35 @@ class BulkTrain:
             self._finalize_seq = self.sim._push_cancellable(
                 self.t_final, self._finalize, None)
             return
+        if self._unsent():
+            return  # an inserted line's send at this instant closes it
         self._span.seal()
         self._close()
+
+    def _ins_pop(self, g: int) -> None:
+        """The dispatcher pops inserted line ``g``: its crossbar step's
+        end goes on the calendar here, as the per-packet dispatcher
+        pushes it."""
+        self._insd[g].seq = self.sim._push_cancellable(
+            self.sim._now + self.TS, self._ins_send, (g,))
+
+    def _ins_send(self, g: int) -> None:
+        """Inserted line ``g`` leaves the crossbar: one real send on its
+        own port, whose TX queue has room (its mmio_writes count is a
+        deferred effect like the window's)."""
+        rec = self._insd[g]
+        rec.seq = None
+        self._sent_mark = g + 1
+        d = rec.dir
+        d._train = None  # the window's own send, not a foreign one
+        ev = self.nb._send_on_port_fast(
+            rec.port, self._make_pkt(g - self._base, coherent=False))
+        assert ev is None, "train invariant: inserted slot's TX queue has room"
+        if self._unsent(d):
+            d._train = self
+        if (self._finalize_seq is None and self.t_final <= self.sim._now
+                and not self._unsent()):
+            self._finalize()
 
     def _close(self) -> None:
         self.done = True
@@ -616,6 +883,12 @@ class BulkTrain:
             self.nb._train = None
         if self.dir._train is self:
             self.dir._train = None
+        for rec in self._insd.values():
+            if rec.seq is not None:
+                self.sim._cancel(rec.seq)
+                rec.seq = None
+            if rec.dir._train is self:
+                rec.dir._train = None
 
     # ------------------------------------------------------------------
     # Demotion
@@ -627,21 +900,25 @@ class BulkTrain:
         pkt.inject_time = self.fill_done[li]
         return pkt
 
-    def abort(self, T: float) -> None:
+    def abort(self, T: float, pushed: float = -_INF) -> None:
         """Demote at virtual time ``T``: reconstruct the exact per-packet
-        state and hand every queue back to the live processes.
+        state and hand every queue back to the live processes.  ``pushed``
+        is the push instant of the aborting calendar entry, where known.
 
         Cuts are strict-< (the triggering foreign action has not yet
         mutated anything), except for what the core already observed:
         an acceptance at ``T`` that resumed the core happened, and so did
         the same-instant pop, put and serialization start that caused it.
         Works whether the core waits on a store or sits between stores.
+        Posted-queue counts include inserted lines; ``nser`` and the TX
+        queue count the window's own lines.
         """
         if self.done:
             return
         self.done = True
         self.aborted = True
         self._unhook()
+        self._drop_unaccepted()
         self._count_lines()
         self.nb.counters.inc("train_demotions")
         if self.metrics_on:
@@ -651,11 +928,17 @@ class BulkTrain:
         accept, fill_done, pop, putc, ss = (self.accept, self.fill_done,
                                             self.pop, self.putc, self.ss)
         TS, SER = self.TS, self.ser
-        n = len(ss)
+        n = len(pop)
         f = bisect_left(fill_done, T)     # WC fills done
         m = bisect_left(accept, T)        # packets in the posted queue ever
+        if m < n and accept[m] == T and b + m in self._insd:
+            # An inserted line whose acceptance entry ran before this one.
+            m += 1
+            f = max(f, m)
         npop = bisect_left(pop, T)        # packets popped by the dispatcher
-        nput = bisect_left(putc, T)       # packets accepted into the TX queue
+        # packets accepted into a TX queue (an inserted line sent at T
+        # included: its entry ran before this one)
+        nput = max(bisect_left(putc, T), self._sent_mark - b)
         nser = bisect_left(ss, T)         # packets whose serialization began
         seen = self._seen - b
         if m < seen:
@@ -665,7 +948,20 @@ class BulkTrain:
             if accept[j] > fill_done[j]:
                 # A blocked line is admitted by the pop freeing its slot.
                 npop = max(npop, j - self.capq + 1)
+        # Push instant of the triggering calendar entry, where known: the
+        # core's own completion entry went on the calendar at the store's
+        # last fill start.
+        P = self._resuming
+        if P is True:
+            P = self.fs[self._last - b]
+        elif P is False:
+            P = pushed
         filled = self._filled - b
+        if (f < n and fill_done[f] == T and self.fs[f] < P
+                and b + f not in self._insd):
+            # The core's fill-end entry for this line went on the
+            # calendar before the aborting one, so it ran first.
+            filled = max(filled, f + 1)
         if f < filled:
             # The core's relay ran at this line's fill end before the
             # aborting entry: the line was submitted (and, unblocked,
@@ -673,13 +969,9 @@ class BulkTrain:
             f = filled
             if m < f and accept[f - 1] == fill_done[f - 1]:
                 m = f
-        # Push instant of the triggering calendar entry, where known: the
-        # core's own completion entry went on the calendar at the store's
-        # last fill start.
-        P = self.fs[-1] if self._resuming else -_INF
         npop, nput, nser = self._same_instant_cuts(T, P, m, npop, nput,
                                                    nser)
-        self.cut = b + nser
+        self.cut = self._bw + nser
         # Revoke the speculative future (the core's completion entry is
         # settled below).  The packets that left before the cut still
         # commit from the span, which now ends there.
@@ -687,7 +979,7 @@ class BulkTrain:
             sim._cancel(self._finalize_seq)
             self._finalize_seq = None
         self._span.truncate(self.cut)
-        self._apply(b + f, b + nput, b + nser, b + npop)
+        self._apply(b + f, b + nput, self.cut, b + npop)
         self.resume_fills = b + f
 
         # --- link direction: canonical non-burst state --------------------
@@ -702,9 +994,10 @@ class BulkTrain:
             self._rx_getter = d.rx._getters.popleft()
             self._rx_seq = sim._push_cancellable(rx_free, self._release_rx,
                                                  None)
-        for j in range(nser, nput):
-            txq._items.append(self._make_pkt(j, coherent=False))
-        if nser < nput or ss_end > T:
+        wput = self._wire(nput)
+        for j in range(nser, wput):
+            txq._items.append(self._make_pkt(self._posted(j), coherent=False))
+        if nser < wput or ss_end > T:
             # The per-packet pump is asleep serializing packet nser-1 and
             # pops the next one only at ss_end (a refill nonempty implies
             # the serializer is busy until then): hold its getter so it
@@ -721,7 +1014,8 @@ class BulkTrain:
                 # The dispatcher's send() happened before T and blocked on
                 # the TX queue; its putter must precede any foreign put at
                 # T (FIFO), and it resumes where the admission wakes it.
-                txq.put(self._make_pkt(p, coherent=False)).add_callback(
+                q = self._via(p)[1].txq[VirtualChannel.POSTED]
+                q.put(self._make_pkt(p, coherent=False)).add_callback(
                     self._disp_sent)
 
         # --- posted queue -------------------------------------------------
@@ -784,6 +1078,27 @@ class BulkTrain:
         for _, _, _, push in entries:
             push()
 
+    def _drop_unaccepted(self) -> None:
+        """Take the inserted lines whose fill has not ended out of the
+        schedule: per packet they were never submitted, and their own
+        core entries submit them.  Every later line is accepted after
+        them, so the shifts they caused lie past the cut."""
+        b, ins = self._base, self._ins
+        while ins and not self._insd[ins[-1]].accepted:
+            g = ins.pop()
+            self._insd.pop(g).removed = True
+            li = g - b
+            for lst in (self.fs, self.fill_done, self.accept, self.pop,
+                        self.putc, self._offs, self._srcs):
+                del lst[li]
+            self.K -= 1
+            if self._pend_slot is not None and self._pend_slot > g:
+                self._pend_slot -= 1
+            if self._first > g:
+                self._first -= 1
+            if self._last > g:
+                self._last -= 1
+
     def _same_instant_cuts(self, T, P, m, npop, nput, nser):
         """Extend the strict-< cuts by the pipeline steps at exactly ``T``
         that precede the aborting entry, pushed at ``P``.
@@ -796,23 +1111,27 @@ class BulkTrain:
         """
         pop, putc, ss = self.pop, self.putc, self.ss
         TS, SER, CAPT = self.TS, self.ser, self.capt
-        n = len(ss)
+        n = len(pop)
+        b, via = self._base, self._insd
         while True:
+            wput = self._wire(nput)  # window lines among the puts
             if nput < npop - 1 and putc[npop - 2] == T:
                 nput = npop - 1  # a pop at T follows the previous put
-            elif (nser + CAPT < nput and putc[nput - 1] == T
-                  and ss[nput - 1 - CAPT] == T):
-                nser = nput - CAPT  # a TX-blocked put follows the take
+            elif (nser + CAPT < wput and putc[nput - 1] == T
+                  and b + nput - 1 not in via
+                  and ss[wput - 1 - CAPT] == T):
+                nser = wput - CAPT  # a TX-blocked put follows the take
             elif (nput < npop and putc[nput] == T
                   and pop[nput] + TS == T and pop[nput] < P
-                  and nput - CAPT < nser):
+                  and b + nput not in via and wput - CAPT < nser):
                 nput += 1  # the dispatcher's crossbar sleep ended first
-            elif (nser < nput and ss[nser] == T and nser
+            elif (nser < wput and ss[nser] == T and nser
                   and ss[nser - 1] + SER == T and ss[nser - 1] < P):
                 nser += 1  # the pump's serialization sleep ended first
             elif (npop < m and npop < n and pop[npop] == T and npop
                   and putc[npop - 1] == T and npop - 1 < nput
-                  and pop[npop - 1] < P):
+                  and (b + npop - 1 < self._sent_mark
+                       if b + npop - 1 in via else pop[npop - 1] < P)):
                 npop += 1  # ...and the dispatcher popped the next inline
             else:
                 return npop, nput, nser
@@ -841,7 +1160,7 @@ class BulkTrain:
         sim = self.sim
         self.cut -= 1
         i = self.cut
-        li = i - self._base
+        li = i - self._bw
         self._span.truncate(i)
         if self._rx_seq is not None:
             # The receiver only ever sees the packets before this one.
@@ -859,7 +1178,8 @@ class BulkTrain:
         st.wire_bytes -= self.wire_per_pkt
         st.naks += 1
         fault_counters(sim).link_naks += 1
-        d.txq[VirtualChannel.POSTED].unget(self._make_pkt(li, coherent=False))
+        d.txq[VirtualChannel.POSTED].unget(
+            self._make_pkt(self._posted(li), coherent=False))
 
     def _resume_pump(self, _=None) -> None:
         ev = self._pump_wake
@@ -878,12 +1198,17 @@ class BulkTrain:
         else:
             txq._getters.append(ev)
 
+    def _via(self, li: int):
+        """``(port, direction)`` posted line ``li`` leaves by."""
+        rec = self._insd.get(self._base + li)
+        return (self.port, self.dir) if rec is None else (rec.port, rec.dir)
+
     def _disp_send(self, p: int) -> None:
         """The dispatcher's crossbar sleep for packet ``p`` (local index)
         ends: send it exactly as the real loop would."""
         pkt = self._make_pkt(p, coherent=False)
         try:
-            ev = self.nb._send_on_port_fast(self.port, pkt)
+            ev = self.nb._send_on_port_fast(self._via(p)[0], pkt)
         except LinkDownError:
             # Same contract as the per-packet dispatcher: a link that died
             # between the demotion and this send parks the packet on the

@@ -195,6 +195,13 @@ class CommitSpan:
             if db._waiters:
                 self.arm(db)
 
+    def retime(self, n: int, times) -> None:
+        """The owner moved the arrivals of lines from global line ``n`` on
+        later (a line inserted ahead of them); none has arrived yet.  A
+        ring entry armed for one now fires early and re-arms."""
+        k = n - self._base
+        self.times[k:] = times
+
     def seal(self) -> None:
         """The owner appends no more: one entry now holds the calendar
         open to the last commit (the per-packet run's final

@@ -28,7 +28,7 @@ Known, deliberate divergences (excluded from comparison): the per-burst
 """
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -42,7 +42,8 @@ def spy_dest_commits(sim, mc):
     calendar commits in ``commits``, and in ``span_commits`` /
     ``span_claims`` the ones a commit span computes arithmetically (a
     span line's claim when the span folds it into the port arithmetic,
-    its commit when the span makes it real)."""
+    its commit when the span makes it real).  Spies nest, one per
+    controller."""
     from repro.sim import flows
 
     log = dict(commits=[], claims=[], span_commits=[], span_claims=[])
@@ -62,6 +63,8 @@ def spy_dest_commits(sim, mc):
         return end
 
     def record(span, a0):
+        if span.mc is not mc:
+            return
         b = span._base
         for g in range(a0, span._applied):
             c = span._c[g - b]
@@ -81,6 +84,8 @@ def spy_dest_commits(sim, mc):
     def flush_spy(span, now, claimed=float("inf")):
         f0 = span._flushed
         orig_flush(span, now, claimed)
+        if span.mc is not mc:
+            return
         for g in range(f0, span._flushed):
             log["span_commits"].append(applied.pop((id(span), g)))
 
@@ -376,35 +381,64 @@ def _stream_program(seed, nops=48):
 
 
 def run_stream_mode(ops, fidelity, kind=None, t_off=None, metrics=True,
-                    ops2=None):
+                    ops2=None, chain=False, pq_cap=None, left_ops=None):
     """Execute ``ops`` on the two-board prototype's storing core under
     ``fidelity``; returns an end-state dict.  ``kind``/``t_off`` schedule one disturbance (see
     :func:`run_train_mode`) ``t_off`` ns after the program starts; an
     interrupt abandons the op in progress and the program continues.
     ``ops2`` runs as a second process storing through the same core.
     Besides :func:`run_train_mode`'s kinds, ``"flap"`` takes the link down
-    and warm-retrains it 2 us later."""
-    from repro.bench.microbench import _RawWindow
+    and warm-retrains it 2 us later.
+
+    ``chain`` runs instead from the middle supernode of a 3-supernode
+    chain, which has a second TCCluster port: the program streams to the
+    right neighbour, and the ``"foreign"`` disturbance is a second
+    process on the storing core writing one full line to the left
+    neighbour (an inserted slot when it can ride the open window),
+    ``"foreign_busy"`` the same after six packets sent straight into
+    the left port, which fill its TX queue (a busy target still
+    demotes), and ``"foreign_interrupt"`` one interrupted 5 ns into its
+    line fill (the line is never stored).  ``left_ops`` replaces that
+    process's one line, with ``("left", k)`` a line to the left
+    neighbour.  ``pq_cap`` shrinks the storing chip's posted queue so
+    stores block on it."""
+    from repro.bench.microbench import _WINDOW_OFF, _RawWindow
     from repro.core import TCClusterSystem
     from repro.opteron.mtrr import MemoryType
     from repro.sim.engine import Interrupt
 
-    system = TCClusterSystem.two_board_prototype()
+    if chain:
+        system = TCClusterSystem(num_supernodes=3)
+    else:
+        system = TCClusterSystem.two_board_prototype()
     if metrics:
         system.enable_metrics()
     system.sim.features.fidelity = fidelity
     system.boot()
     cl = system.cluster
     sim = cl.sim
-    a, b = cl.rank_of(0, 1), cl.rank_of(1, 1)
+    if chain:
+        a, b = 1, 2
+    else:
+        a, b = cl.rank_of(0, 1), cl.rank_of(1, 1)
     win = _RawWindow(cl, a, b)
     proc = win.proc
     core = proc.core
     chip = core.chip
     nb = chip.nb
+    if pq_cap is not None:
+        nb.posted_q.capacity = pq_cap
     binding = chip.ports[nb.route(win.tx_base).dst_link]
     link, side = binding.link, binding.side
     dest_chip = link.attached["B" if side == "A" else "A"]
+    if chain:
+        # The left neighbour's window, mapped into the storing process.
+        left_base = cl.ranks[0].base + _WINDOW_OFF
+        info = cl.ranks[a]
+        cl.kernels[info.supernode].driver_for(info.chip_index).mmap_remote(
+            proc.pagetable, left_base, 1 << 16, tag="fuzz-left")
+        left = chip.ports[nb.route(left_base).dst_link]
+        left_chip = left.link.attached["B" if left.side == "A" else "A"]
 
     trace = []
 
@@ -431,6 +465,9 @@ def run_stream_mode(ops, fidelity, kind=None, t_off=None, metrics=True,
                                           b"\x3c" * 8, mtype=MemoryType.UC)
                 elif op[0] == "load":
                     yield from proc.load(win.rx_mailbox, 8)
+                elif op[0] == "left":
+                    yield from proc.store(left_base + op[1] * CACHELINE,
+                                          bytes([0x40 + i]) * CACHELINE)
                 trace.append((tag, i, sim.now))
             except Interrupt:
                 trace.append((tag, i, "interrupted", sim.now))
@@ -460,11 +497,26 @@ def run_stream_mode(ops, fidelity, kind=None, t_off=None, metrics=True,
             # serializer: NAK + retransmit), warm retrain 2 us later.
             link.bring_down()
             sim.schedule(2000.0, binding.fsm.retrain, "warm")
+        elif kind in ("foreign", "foreign_busy", "foreign_interrupt"):
+            if kind == "foreign_busy":
+                from repro.ht.packet import make_posted_write
+
+                for j in range(6):
+                    pkt = make_posted_write(left_base + (64 + j) * CACHELINE,
+                                            b"\x66" * 64, unitid=nb.nodeid,
+                                            coherent=False)
+                    if not left.link.try_send(left.side, pkt):
+                        left.link.send(left.side, pkt)
+            left_job = sim.process(job(left_ops or [("left", 1)], 2))
+            if kind == "foreign_interrupt":
+                sim.schedule(5.0, left_job.interrupt, "abandon")
 
     if kind is not None:
         sim.schedule(t_off, disturb)
     t_start = sim.now
-    with spy_dest_commits(sim, dest_chip.memctrl) as log:
+    left_spy = (spy_dest_commits(sim, left_chip.memctrl) if chain
+                else nullcontext())
+    with spy_dest_commits(sim, dest_chip.memctrl) as log, left_spy as log2:
         sim.run_until_event(handle)
         sim.run()
 
@@ -481,7 +533,20 @@ def run_stream_mode(ops, fidelity, kind=None, t_off=None, metrics=True,
 
     off = dest_chip.nb._local_offset(win.tx_base)
     dmc = dest_chip.memctrl
+    extra = {}
+    if chain:
+        lmc = left_chip.memctrl
+        extra = dict(
+            left_stats={s: left.link.stats(s).as_dict(sim.now)
+                        for s in ("A", "B")},
+            left_counters=plain(left_chip.nb.counters),
+            left_mem=lmc.memory.read(left_chip.nb._local_offset(left_base),
+                                     1 << 12),
+            left_commits=commit_results(log2))
+        for st in extra["left_stats"].values():
+            st.pop("bursts", None)
     return dict(
+        **extra,
         t_end=sim.now,
         span=sim.now - t_start,
         trace=trace,
@@ -623,6 +688,132 @@ def test_flush_at_acceptance_instant_exact(ops):
     fast = run_stream_mode(ops, "macro")
     assert_stream_equivalent(slow, fast)
     assert fast["train_demotions"] == 1
+
+
+_LEFT_COMPARED = ("left_stats", "left_counters", "left_mem",
+                  "left_commits")
+
+
+def assert_chain_equivalent(slow, fast, label=""):
+    """The stream oracle plus the second port's link stats and the left
+    neighbour's commits and memory."""
+    assert_stream_equivalent(slow, fast, label)
+    for key in _LEFT_COMPARED:
+        assert slow[key] == fast[key], (
+            f"{label} {key} diverged:\n  slow: {str(slow[key])[:600]}"
+            f"\n  fast: {str(fast[key])[:600]}")
+
+
+def run_chain_pair(ops, kind, t_off, **kw):
+    slow = run_stream_mode(ops, "packet", kind, t_off, chain=True, **kw)
+    fast = run_stream_mode(ops, "macro", kind, t_off, chain=True, **kw)
+    assert_chain_equivalent(slow, fast, f"kind={kind} t_off={t_off} {kw}")
+    return slow, fast
+
+
+# One 48-line store, then two single lines 400 ns apart.
+_CHAIN_OPS = ([("bulk", 0, 48), ("gap", 400.0), ("line", 48),
+               ("gap", 400.0), ("line", 49), ("sfence",)])
+
+
+@pytest.mark.parametrize("t_off", [5.0, 100.0, 301.5, 587.0])
+def test_foreign_line_while_core_fills_exact(t_off):
+    """A feedback-style line to the other port lands while the core fills
+    a multi-line store (another process on the same core): it splices in
+    between that store's lines as one dispatcher slot and shifts the rest
+    of the window, which stays open."""
+    slow, fast = run_chain_pair(_CHAIN_OPS, "foreign", t_off)
+    assert fast["train_demotions"] == 0
+    assert sum(st["packets"] for st in slow["left_stats"].values()) == 1
+
+
+@pytest.mark.parametrize("t_off", [700.0, 1203.0, 1666.5])
+def test_foreign_line_between_stores_exact(t_off):
+    """The line lands while the storing core computes between stores,
+    with the window's lines still in the posted queue or on the wire."""
+    _, fast = run_chain_pair(_CHAIN_OPS, "foreign", t_off)
+    assert fast["train_demotions"] == 0
+
+
+@pytest.mark.parametrize("t_off", [30.0, 250.0, 400.5])
+def test_foreign_line_core_blocked_exact(t_off):
+    """A posted queue of four packets: the storing core blocks on it, and
+    a line landing then cannot keep the core's schedule -- it demotes."""
+    _, fast = run_chain_pair(_CHAIN_OPS, "foreign", t_off, pq_cap=4)
+    assert fast["train_demotions"] >= 1
+
+
+@pytest.mark.parametrize("t_off", [100.0, 301.5, 1203.0])
+def test_foreign_line_interrupted_mid_fill_exact(t_off):
+    """The process writing the line is interrupted during its fill: per
+    packet the line never exists, so an inserted slot must come out of
+    the window again (by demoting it)."""
+    slow, fast = run_chain_pair(_CHAIN_OPS, "foreign_interrupt", t_off)
+    assert fast["train_demotions"] == 1
+    assert not any(st["packets"] for st in slow["left_stats"].values())
+
+
+@pytest.mark.parametrize("t_off", [100.0, 1203.0])
+def test_foreign_line_busy_target_demotes_exact(t_off):
+    """The other port's TX queue is full (packets sent straight into it):
+    the line cannot be inserted, so the window demotes as before."""
+    _, fast = run_chain_pair(_CHAIN_OPS, "foreign_busy", t_off)
+    assert fast["train_demotions"] >= 1
+
+
+def _left_program(rng):
+    """One to three lines to the left neighbour, some with short gaps:
+    later ones land while earlier ones are still queued."""
+    ops = []
+    for k in range(rng.randrange(1, 4)):
+        ops.append(("left", k + 1))
+        if rng.random() < 0.5:
+            ops.append(("gap", rng.choice((0.0, 2.5, 12.0, 40.0))))
+    return ops
+
+
+@pytest.mark.parametrize("seed", [2, 6, 10, 31])
+def test_foreign_line_fuzz(seed):
+    """A seeded program on the chain's middle supernode, disturbed at
+    seeded instants by a few lines to the other port (sometimes onto a
+    busy port, sometimes interrupted mid-fill, sometimes through a
+    four-packet posted queue)."""
+    rng = random.Random(3000 + seed)
+    ops = _stream_program(seed, nops=40)
+    span = run_stream_mode(ops, "packet", metrics=False, chain=True)["span"]
+    for _ in range(4):
+        kind = rng.choice(("foreign", "foreign", "foreign_busy",
+                           "foreign_interrupt"))
+        t_off = round(rng.uniform(5.0, span), 2)
+        pq_cap = rng.choice((None, None, 4))
+        run_chain_pair(ops, kind, t_off, metrics=rng.random() < 0.5,
+                       pq_cap=pq_cap, left_ops=_left_program(rng))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", list(range(40, 52)))
+def test_foreign_line_fuzz_deep(seed):
+    """The foreign-line fuzz on longer programs, including ring-like ones
+    (a few large multi-line stores) where the line splices in between a
+    store's lines."""
+    rng = random.Random(4000 + seed)
+    if seed % 2:
+        ops = _stream_program(seed, nops=64)
+    else:
+        ops, k = [], 0
+        for _ in range(rng.randrange(2, 5)):
+            n = rng.randrange(8, 70)
+            ops += [("bulk", k, n), ("gap", rng.choice((0.0, 12.0, 700.0)))]
+            k += n
+        ops.append(("sfence",))
+    span = run_stream_mode(ops, "packet", metrics=False, chain=True)["span"]
+    for _ in range(6):
+        kind = rng.choice(("foreign", "foreign", "foreign", "foreign_busy",
+                           "foreign_interrupt"))
+        t_off = round(rng.uniform(5.0, span), 2)
+        pq_cap = rng.choice((None, None, None, 4, 16))
+        run_chain_pair(ops, kind, t_off, metrics=rng.random() < 0.5,
+                       pq_cap=pq_cap, left_ops=_left_program(rng))
 
 
 @pytest.mark.slow
